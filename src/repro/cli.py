@@ -26,6 +26,7 @@ out.json`` renders as tables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,7 @@ from repro.runtime.cache import cached_utility
 from repro.optimize.deployment import Deployment
 from repro.optimize.pareto import budget_sweep, pareto_frontier
 from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
+from repro.runtime.pool import PersistentPool, resolve_workers, use_pool
 from repro.runtime.resilience import FAILURE_MODES, MapReport, RetryPolicy
 from repro.simulation.campaign import run_campaign
 
@@ -155,31 +157,24 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "(default: the REPRO_WORKERS environment variable, else serial); "
         "results are identical at any worker count",
     )
-    parser.add_argument(
-        "--pool",
-        choices=("persistent", "spawn"),
-        default="spawn",
-        help="worker-pool strategy: 'persistent' keeps one warm process "
-        "pool (zero-copy shared-memory transport) alive for the whole "
-        "command; 'spawn' (default) starts a fresh pool per parallel map",
-    )
 
 
-def _pool_context(args: argparse.Namespace):
-    """Context manager installing a persistent pool when requested.
+def _command_pool(args: argparse.Namespace) -> contextlib.ExitStack:
+    """Context manager installing one pool for the command's parallel maps.
 
-    Returns a no-op context unless ``--pool persistent`` was given; the
-    persistent pool is both closed *and* uninstalled on exit, so shared
-    segments never outlive the command.
+    Every command that maps holds one (``sweep``, ``contrib``, and the
+    solves that take ``--bb-workers``).  It is sized for the widest map
+    the command runs in this process: the ``--workers`` fan-out or,
+    when that is serial, each solve's ``--bb-workers`` subtree search.
+    The executor starts on first use, so a serial command never forks;
+    the pool is closed *and* uninstalled on exit, so shared segments
+    never outlive the command.
     """
-    import contextlib
-
-    if getattr(args, "pool", "spawn") != "persistent":
-        return contextlib.nullcontext()
-    from repro.runtime.pool import PersistentPool, use_pool
-
+    workers = resolve_workers(getattr(args, "workers", None))
+    if workers == 1:
+        workers = getattr(args, "bb_workers", None) or 1
     stack = contextlib.ExitStack()
-    pool = stack.enter_context(PersistentPool(getattr(args, "workers", None)))
+    pool = stack.enter_context(PersistentPool(workers))
     stack.enter_context(use_pool(pool))
     return stack
 
@@ -333,14 +328,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     model = _load_model(args)
     weights = _parse_weights(args)
     budget = _parse_budget(model, args)
-    result = MaxUtilityProblem(model, budget, weights).solve(
-        args.backend,
-        time_limit=args.timeout,
-        presolve=args.presolve,
-        max_nodes=args.max_nodes,
-        gap=args.gap,
-        bb_workers=args.bb_workers,
-    )
+    with _command_pool(args):
+        result = MaxUtilityProblem(model, budget, weights).solve(
+            args.backend,
+            time_limit=args.timeout,
+            presolve=args.presolve,
+            max_nodes=args.max_nodes,
+            gap=args.gap,
+            bb_workers=args.bb_workers,
+        )
     print(result.summary())
     report = evaluate_deployment(model, result.deployment, weights)
     print()
@@ -368,14 +364,15 @@ def _cmd_mincost(args: argparse.Namespace) -> int:
         fully_cover=args.fully_cover.split(",") if args.fully_cover else (),
         weights=weights,
     )
-    result = problem.solve(
-        args.backend,
-        time_limit=args.timeout,
-        presolve=args.presolve,
-        max_nodes=args.max_nodes,
-        gap=args.gap,
-        bb_workers=args.bb_workers,
-    )
+    with _command_pool(args):
+        result = problem.solve(
+            args.backend,
+            time_limit=args.timeout,
+            presolve=args.presolve,
+            max_nodes=args.max_nodes,
+            gap=args.gap,
+            bb_workers=args.bb_workers,
+        )
     print(result.summary())
     print(f"scalar cost: {result.objective:.2f}")
     print(f"spend: {result.deployment.cost().as_dict()}")
@@ -392,13 +389,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     weights = _parse_weights(args)
     fractions = [float(x) for x in args.fractions.split(",")]
     report = MapReport()
-    with _pool_context(args):
+    with _command_pool(args):
         points = budget_sweep(
             model,
             fractions,
             weights,
             backend=args.backend,
-            workers=args.workers,
+            # Resolved here: the pool may be wider than the sweep itself.
+            workers=resolve_workers(args.workers),
             policy=_parse_policy(args),
             report=report,
             presolve=args.presolve,
@@ -472,7 +470,7 @@ def _cmd_contrib(args: argparse.Namespace) -> int:
     deployment = _read_deployment(model, args.deployment)
     weights = _parse_weights(args)
     report = MapReport()
-    with _pool_context(args):
+    with _command_pool(args):
         print(
             contribution_report(
                 model,
@@ -494,16 +492,17 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
     model = _load_model(args)
     weights = _parse_weights(args)
-    points = exact_frontier(
-        model,
-        weights,
-        backend=args.backend,
-        max_points=args.max_points,
-        presolve=args.presolve,
-        max_nodes=args.max_nodes,
-        gap=args.gap,
-        bb_workers=args.bb_workers,
-    )
+    with _command_pool(args):
+        points = exact_frontier(
+            model,
+            weights,
+            backend=args.backend,
+            max_points=args.max_points,
+            presolve=args.presolve,
+            max_nodes=args.max_nodes,
+            gap=args.gap,
+            bb_workers=args.bb_workers,
+        )
     print(render_table(
         ["scalar cost", "utility", "#monitors"],
         [[p.scalar_cost, p.utility, len(p.deployment)] for p in points],

@@ -18,7 +18,7 @@ import ast
 import io
 import re
 import tokenize
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar
@@ -29,6 +29,7 @@ __all__ = [
     "Rule",
     "dotted",
     "parse_suppressions",
+    "strongly_connected_components",
 ]
 
 #: Sentinel stored in the suppression map for a bare ``# repro: noqa``
@@ -243,3 +244,55 @@ def module_name_for(path: Path) -> str:
     if parts[0] == "__init__":
         parts = parts[1:]
     return ".".join(reversed(parts))
+
+
+def strongly_connected_components(
+    adjacency: Mapping[str, Iterable[str]],
+) -> list[tuple[str, ...]]:
+    """Tarjan's SCCs of a directed graph, in reverse topological order.
+
+    Every component comes back as a sorted tuple, and a component is
+    emitted only after every component it reaches (callee-first).  Roots
+    and neighbours are visited in sorted order, so the result is a pure
+    function of the graph.  Iterative, so deep graphs cannot exhaust the
+    recursion limit.  Nodes that appear only as targets are leaves.
+    """
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[tuple[str, ...]] = []
+
+    def visit(node: str) -> Iterator[str]:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return iter(sorted(adjacency.get(node, ())))
+
+    for root in sorted(adjacency):
+        if root in index:
+            continue
+        work = [(root, visit(root))]
+        while work:
+            node, neighbours = work[-1]
+            for neighbour in neighbours:
+                if neighbour not in index:
+                    work.append((neighbour, visit(neighbour)))
+                    break
+                if neighbour in on_stack:
+                    lowlink[node] = min(lowlink[node], index[neighbour])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(tuple(sorted(component)))
+    return components

@@ -31,7 +31,7 @@ import builtins
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.devtools.base import module_name_for
+from repro.devtools.base import module_name_for, strongly_connected_components
 from repro.devtools.flow import contract as flow_contract
 
 __all__ = [
@@ -679,66 +679,13 @@ def condensation_order(program: Program) -> list[tuple[str, ...]]:
     analyzed, every callee outside its own SCC already has a final
     summary, and cycles iterate only within their component.
     """
-    adjacency: dict[str, list[str]] = {
-        qualname: sorted(
-            {
-                target
-                for call_site in sites
-                for target in call_site.targets
-                if target in program.functions
-            }
-        )
+    adjacency: dict[str, set[str]] = {
+        qualname: {
+            target
+            for call_site in sites
+            for target in call_site.targets
+            if target in program.functions
+        }
         for qualname, sites in program.calls.items()
     }
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components: list[tuple[str, ...]] = []
-
-    def strongconnect(start: str) -> None:
-        work: list[tuple[str, int]] = [(start, 0)]
-        index[start] = lowlink[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, pointer = work[-1]
-            neighbours = adjacency.get(node, [])
-            advanced = False
-            while pointer < len(neighbours):
-                neighbour = neighbours[pointer]
-                pointer += 1
-                if neighbour not in index:
-                    work[-1] = (node, pointer)
-                    index[neighbour] = lowlink[neighbour] = counter[0]
-                    counter[0] += 1
-                    stack.append(neighbour)
-                    on_stack.add(neighbour)
-                    work.append((neighbour, 0))
-                    advanced = True
-                    break
-                if neighbour in on_stack:
-                    lowlink[node] = min(lowlink[node], index[neighbour])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(tuple(sorted(component)))
-
-    for qualname in sorted(adjacency):
-        if qualname not in index:
-            strongconnect(qualname)
-    # Tarjan emits components in reverse topological order already.
-    return components
+    return strongly_connected_components(adjacency)

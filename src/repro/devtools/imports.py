@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.devtools import contract
-from repro.devtools.base import Finding
+from repro.devtools.base import Finding, strongly_connected_components
 
 __all__ = [
     "CYCLE_RULE_ID",
@@ -210,56 +210,8 @@ def find_cycles(graph: ModuleGraph) -> list[list[str]]:
     Each cycle is returned as a sorted module list; the result is
     sorted by first module so output is deterministic.
     """
-    adjacency = _eager_adjacency(graph)
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components: list[list[str]] = []
-
-    def strongconnect(start: str) -> None:
-        work: list[tuple[str, iter]] = [(start, iter(sorted(adjacency[start])))]
-        index[start] = lowlink[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, neighbours = work[-1]
-            advanced = False
-            for neighbour in neighbours:
-                if neighbour not in index:
-                    index[neighbour] = lowlink[neighbour] = counter[0]
-                    counter[0] += 1
-                    stack.append(neighbour)
-                    on_stack.add(neighbour)
-                    work.append((neighbour, iter(sorted(adjacency[neighbour]))))
-                    advanced = True
-                    break
-                if neighbour in on_stack:
-                    lowlink[node] = min(lowlink[node], index[neighbour])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    components.append(sorted(component))
-
-    for module in sorted(adjacency):
-        if module not in index:
-            strongconnect(module)
-    components.sort()
-    return components
+    components = strongly_connected_components(_eager_adjacency(graph))
+    return sorted(list(component) for component in components if len(component) > 1)
 
 
 def cycle_findings(graph: ModuleGraph) -> list[Finding]:

@@ -2,8 +2,10 @@
 
 Budget sweeps, scenario solves, and simulation campaigns are
 embarrassingly parallel: independent pure jobs over a list of inputs.
-:func:`parallel_map` runs such jobs across a ``ProcessPoolExecutor``
-while keeping four guarantees the experiment suite depends on:
+:func:`parallel_map` runs such jobs across a worker pool
+(:class:`~repro.runtime.pool.PersistentPool`: the caller's, the ambient
+one, or one scoped to the call) while keeping four guarantees the
+experiment suite depends on:
 
 * **order preservation** — results come back in input order, so a
   parallel run is positionally identical to a serial one;
@@ -24,24 +26,32 @@ while keeping four guarantees the experiment suite depends on:
 Worker count resolution: an explicit ``workers`` argument wins, then
 the ``REPRO_WORKERS`` environment variable, then serial (1).  Jobs must
 be module-level callables with picklable arguments to actually run in
-the pool; anything else falls back to serial.
+the pool; anything else falls back to serial.  Inside a worker process
+every map runs serially (:func:`~repro.runtime.pool.in_worker`).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from typing import TypeVar
 
 import numpy as np
 
 from repro import obs
-from repro.runtime.pool import PersistentPool, active_pool
+from repro.runtime.pool import (
+    WORKERS_ENV,
+    PersistentPool,
+    _CallScopedPool,
+    in_worker,
+    resolve_pool,
+    resolve_workers,
+)
 from repro.runtime.resilience import MapReport, RetryPolicy, TaskFailure, TaskFailureError
 
 __all__ = [
@@ -51,9 +61,6 @@ __all__ = [
     "spawn_generators",
     "spawn_seeds",
 ]
-
-#: Environment variable consulted when no explicit worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -65,19 +72,6 @@ _SKIPPED = object()
 #: Default policy: no timeout, no retries, raise on task failure —
 #: the seed semantics, now with reporting.
 _DEFAULT_POLICY = RetryPolicy()
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """The effective worker count: argument, else ``REPRO_WORKERS``, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -144,9 +138,9 @@ class _QueueTimedJob:
     Workers return ``(queue_wait, result)`` where the wait is measured
     on the worker against the submission stamp — valid cross-process on
     Linux because ``time.monotonic`` reads the system-wide
-    ``CLOCK_MONOTONIC``.  Only the pooled scheduler wraps with this, so
-    the ``pool.queue_wait_seconds`` histogram reflects real queueing on
-    a shared executor, not per-call pools that never queue.
+    ``CLOCK_MONOTONIC``.  The pooled scheduler wraps every submission,
+    so the ``pool.queue_wait_seconds`` histogram counts each pooled
+    task once, whether its pool is shared or scoped to one call.
     """
 
     __slots__ = ("fn", "submitted")
@@ -273,7 +267,7 @@ def _run_pool(
     count: int,
     policy: RetryPolicy,
     report: MapReport,
-    pool: PersistentPool | None = None,
+    pool: PersistentPool,
 ) -> list:
     """Windowed pool scheduler with per-task deadlines and retries.
 
@@ -285,15 +279,17 @@ def _run_pool(
     finishes) and the task is retried or failed like any other fault.
     Raises :class:`_PoolAbandoned` when the pool plumbing breaks.
 
-    With a :class:`~repro.runtime.pool.PersistentPool`, the pool's
-    executor is borrowed instead of created (and *not* shut down at the
-    end), submissions are stamped for the queue-wait histogram, and a
-    transport error triggers :meth:`~repro.runtime.pool.PersistentPool.
-    respawn` with every in-flight task re-enqueued — the map survives a
+    The map borrows ``pool``'s executor (it does not shut it down),
+    stamps submissions for the queue-wait histogram, and answers a
+    transport error with :meth:`~repro.runtime.pool.PersistentPool.
+    respawn` and every in-flight task re-enqueued — the map survives a
     killed worker on a fresh executor, falling back to the serial
-    degrade only once the respawn budget is spent.  Re-enqueued jobs
-    are pure (the :func:`parallel_map` contract), so recovery cannot
-    change results.
+    degrade only once the respawn budget is spent (at once for a
+    call-scoped pool, whose budget is zero).  Re-enqueued jobs are pure
+    (the :func:`parallel_map` contract), so recovery cannot change
+    results.  A timed-out task that is still running when the map ends
+    costs the pool its executor: the respawn kills the hung worker
+    rather than letting it narrow every later map.
     """
     total = len(materialized)
     results: list = [None] * total
@@ -339,28 +335,19 @@ def _run_pool(
         pending.clear()
         outstanding.extend(sorted(in_flight, key=lambda entry: -entry[0]))
 
-    if pool is None:
-        try:
-            executor = ProcessPoolExecutor(max_workers=min(count, total))
-        except Exception as exc:
-            raise _PoolAbandoned(f"pool creation failed: {type(exc).__name__}: {exc}") from exc
-    else:
-        count = min(count, pool.workers)
-        try:
-            executor = pool.executor()
-        except Exception as exc:
-            raise _PoolAbandoned(
-                f"persistent pool unavailable: {type(exc).__name__}: {exc}"
-            ) from exc
+    count = min(count, pool.workers)
+    try:
+        executor = pool.executor()
+    except Exception as exc:
+        raise _PoolAbandoned(f"pool unavailable: {type(exc).__name__}: {exc}") from exc
     try:
         while outstanding or pending:
             while outstanding and len(pending) < count:
                 index, attempt = outstanding.pop()
-                payload = (
-                    job if pool is None else _QueueTimedJob(job, time.monotonic())
-                )
                 try:
-                    future = executor.submit(payload, materialized[index])
+                    future = executor.submit(
+                        _QueueTimedJob(job, time.monotonic()), materialized[index]
+                    )
                 except Exception as exc:
                     raise _PoolAbandoned(
                         f"submission failed: {type(exc).__name__}: {exc}"
@@ -385,19 +372,15 @@ def _run_pool(
                     value = future.result()
                 except Exception as exc:
                     if _is_transport_error(exc):
-                        if pool is not None and pool.respawn(
-                            f"{type(exc).__name__}: {exc}"
-                        ):
+                        if pool.respawn(f"{type(exc).__name__}: {exc}"):
                             requeue_in_flight((index, attempt))
                             executor = pool.executor()
                             break  # siblings in `completed` were re-enqueued
                         raise _PoolAbandoned(f"{type(exc).__name__}: {exc}") from exc
                     handle_task_fault(index, attempt, exc)
                 else:
-                    if pool is not None:
-                        queue_wait, value = value
-                        obs.histogram("pool.queue_wait_seconds").observe(queue_wait)
-                    results[index] = value
+                    queue_wait, results[index] = value
+                    obs.histogram("pool.queue_wait_seconds").observe(queue_wait)
 
             now = time.monotonic()
             for future, (index, attempt, deadline) in list(pending.items()):
@@ -422,26 +405,7 @@ def _run_pool(
                     ),
                 )
     finally:
-        if pool is None:
-            # No cancel_futures here: the windowed scheduler keeps at most one
-            # queued-but-unstarted item, so cancellation buys nothing — and
-            # shutdown(cancel_futures=True) can deadlock interpreter exit when
-            # a submission fails to pickle (the executor manager rebinds its
-            # pending-work dict while the queue feeder still pops failures
-            # from the old one, leaving a phantom item the manager waits on
-            # forever).
-            workers = dict(getattr(executor, "_processes", None) or {})
-            executor.shutdown(wait=False)
-            if any(not future.done() for future in abandoned):
-                # A hung task may never return; don't let its worker block
-                # interpreter shutdown. The pool is already abandoned, so
-                # tearing down its processes is safe.
-                for process in workers.values():
-                    process.kill()
-        elif any(not future.done() for future in abandoned):
-            # A persistent pool outlives the map, but a hung worker would
-            # narrow every later map; replace the executor (killing its
-            # processes) rather than shutting the pool down.
+        if any(not future.done() for future in abandoned):
             pool.respawn("abandoned timed-out task")
 
     for index in degrade_serially:
@@ -487,15 +451,16 @@ def parallel_map(
 
     ``pool`` (or the ambient pool installed with
     :func:`~repro.runtime.pool.use_pool`) reuses one persistent
-    executor across maps instead of spinning a fresh pool per call;
-    see :mod:`repro.runtime.pool`.  With a pool and no explicit
-    ``workers``, the pool's own worker count applies.
+    executor across maps; see :mod:`repro.runtime.pool`.  With a pool
+    and no explicit ``workers``, the pool's own worker count applies.
+    Without one, a pooled map runs on a pool scoped to the call, built
+    with no respawn budget: the first broken pool degrades the map to
+    serial.  Inside a worker process every map runs serially and
+    counts ``parallel.nested_serial`` (no pool is forked from a fork).
     """
     del chunksize  # individually scheduled; see docstring
     materialized: Sequence[_T] = list(items)
-    pool = pool if pool is not None else active_pool()
-    if pool is not None and pool.closed:
-        pool = None
+    pool = resolve_pool(pool)
     if workers is None and pool is not None:
         count = pool.workers
     else:
@@ -509,9 +474,18 @@ def parallel_map(
         obs.counter("parallel.tasks").inc(len(materialized))
         if count <= 1 or len(materialized) <= 1:
             raw = _run_serial(job, materialized, policy, report)
+        elif in_worker():
+            obs.counter("parallel.nested_serial").inc()
+            raw = _run_serial(job, materialized, policy, report)
         else:
+            scope = (
+                nullcontext(pool)
+                if pool is not None
+                else _CallScopedPool(min(count, len(materialized)))
+            )
             try:
-                raw = _run_pool(job, materialized, count, policy, report, pool)
+                with scope as run_on:
+                    raw = _run_pool(job, materialized, count, policy, report, run_on)
             except _PoolAbandoned as abandoned:
                 # Pool machinery failed (creation, pickling transport, a
                 # dead worker): the jobs themselves are deterministic,

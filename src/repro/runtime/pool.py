@@ -1,13 +1,14 @@
-"""Persistent worker pools mapping tasks zero-copy over shared memory.
+"""Worker pools: the one executor lifecycle, zero-copy over shared memory.
 
-:func:`~repro.runtime.parallel.parallel_map` creates a fresh
-``ProcessPoolExecutor`` per call and pickles every task payload whole —
-fine for one sweep, ruinous for campaign loops that map thousands of
-small tasks against the same model.  This module removes both costs:
+Every process pool in the program is a :class:`PersistentPool` — the
+only place a ``ProcessPoolExecutor`` is built.  A caller that maps many
+times (a campaign loop, a CLI command, the solve service) holds one
+pool for all of its maps, so pool startup is paid once per *loop*, not
+once per *call*; a :func:`~repro.runtime.parallel.parallel_map` given no
+pool runs on one scoped to the call.  On top of that lifecycle:
 
-* :class:`PersistentPool` owns one executor across many maps (explicit
-  lifecycle: context manager, idle reaping, bounded crash-respawn) so
-  pool startup is paid once per *loop*, not once per *call*;
+* :class:`PersistentPool` owns its executor explicitly (context
+  manager, lazy creation, idle reaping, bounded crash-respawn);
 * :func:`publish_arrays` copies a set of numpy arrays once into a
   ``multiprocessing.shared_memory`` segment and hands back a tiny
   picklable :class:`SharedArraysHandle`; workers :func:`attach_arrays`
@@ -16,7 +17,10 @@ small tasks against the same model.  This module removes both costs:
 * :func:`publish_engine` / :func:`attach_engine` apply that to the
   :class:`~repro.runtime.engine.EvaluationEngine`: the CSR coverage
   relation and field bitsets are built once in the parent, published
-  once, and reconstructed zero-copy in each worker.
+  once, and reconstructed zero-copy in each worker;
+* :func:`in_worker` is the one fork guard: inside a worker process
+  every map runs in-process and an inherited ambient pool is invisible
+  (:func:`resolve_pool`), so no pool is ever forked from a fork.
 
 Segment lifetime is pinned to the publishing pool: handles obtained
 from :meth:`PersistentPool.share` stay valid until the pool closes, and
@@ -46,6 +50,7 @@ histogram (recorded by the pooled scheduler in
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import threading
 import time
@@ -63,6 +68,7 @@ from repro.errors import ReproError
 from repro.runtime.engine import EvaluationEngine, engine_for
 
 __all__ = [
+    "WORKERS_ENV",
     "EngineHandle",
     "PersistentPool",
     "PoolError",
@@ -72,10 +78,16 @@ __all__ = [
     "attach_arrays",
     "attach_engine",
     "detach_all",
+    "in_worker",
     "publish_arrays",
     "publish_engine",
+    "resolve_pool",
+    "resolve_workers",
     "use_pool",
 ]
+
+#: Environment variable consulted when no explicit worker count is given.
+WORKERS_ENV = "REPRO_WORKERS"
 
 
 class PoolError(ReproError):
@@ -352,11 +364,11 @@ def attach_engine(handle: EngineHandle) -> EvaluationEngine:
 # the persistent pool
 # ----------------------------------------------------------------------
 
-def _pool_workers(workers: int | None) -> int:
-    """Explicit count, else ``REPRO_WORKERS``, else 1 (mirrors parallel)."""
+def resolve_workers(workers: int | None = None) -> int:
+    """The effective worker count: argument, else ``REPRO_WORKERS``, else 1."""
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get("REPRO_WORKERS", "").strip()
+    env = os.environ.get(WORKERS_ENV, "").strip()
     if env:
         try:
             return max(1, int(env))
@@ -365,14 +377,26 @@ def _pool_workers(workers: int | None) -> int:
     return 1
 
 
+def in_worker() -> bool:
+    """Whether this process is a ``multiprocessing`` child (a pool worker).
+
+    The one fork guard.  Forking a pool from a forked worker can
+    deadlock on locks copied mid-acquisition, so inside a worker every
+    :func:`~repro.runtime.parallel.parallel_map` runs in-process and
+    :func:`resolve_pool` sees no pool — no executor, no ``share()``.
+    Results are identical at any worker count, so this is pure
+    scheduling, never semantics.
+    """
+    return multiprocessing.parent_process() is not None
+
+
 class PersistentPool:
     """One process pool reused across many maps, with owned segments.
 
     Parameters
     ----------
     workers:
-        Worker-process count (defaults like
-        :func:`~repro.runtime.parallel.resolve_workers`).
+        Worker-process count (defaults like :func:`resolve_workers`).
     idle_timeout:
         Seconds of disuse after which the executor is reaped; the next
         map lazily recreates it.  ``None`` disables reaping.
@@ -397,6 +421,10 @@ class PersistentPool:
     already thread-safe by ``concurrent.futures`` contract.
     """
 
+    #: Whether executor creation and an exhausted respawn budget land on
+    #: the ``pool.*`` counters (see :class:`_CallScopedPool`).
+    _counted = True
+
     def __init__(
         self,
         workers: int | None = None,
@@ -404,7 +432,7 @@ class PersistentPool:
         idle_timeout: float | None = None,
         max_respawns: int = 2,
     ):
-        self.workers = _pool_workers(workers)
+        self.workers = resolve_workers(workers)
         self.idle_timeout = idle_timeout
         self.max_respawns = max_respawns
         self._executor: ProcessPoolExecutor | None = None
@@ -440,7 +468,8 @@ class PersistentPool:
             self.reap_if_idle()
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                obs.counter("pool.created").inc()
+                if self._counted:
+                    obs.counter("pool.created").inc()
             self._last_used = time.monotonic()
             return self._executor
 
@@ -470,7 +499,8 @@ class PersistentPool:
         with self._lifecycle:
             self._teardown(kill=True)
             if self._respawns >= self.max_respawns:
-                obs.counter("pool.respawns_exhausted").inc()
+                if self._counted:
+                    obs.counter("pool.respawns_exhausted").inc()
                 return False
             self._respawns += 1
             obs.counter("pool.respawns").inc()
@@ -498,6 +528,9 @@ class PersistentPool:
         if executor is None:
             return
         processes = dict(getattr(executor, "_processes", None) or {})
+        # No cancel_futures: maps keep at most one queued-but-unstarted
+        # task, and shutdown(cancel_futures=True) can deadlock interpreter
+        # exit after a submission failed to pickle.
         executor.shutdown(wait=not kill)
         if kill:
             for process in processes.values():
@@ -521,14 +554,41 @@ class PersistentPool:
             return published.handle
 
 
+class _CallScopedPool(PersistentPool):
+    """The pool of one :func:`~repro.runtime.parallel.parallel_map` given none.
+
+    It has no respawn budget, so the first broken pool degrades the map
+    to serial.  It stays off the lifecycle counters: an executor per
+    pool-less map is the baseline, not an event, and a map's counters
+    must not depend on its worker count.
+    """
+
+    _counted = False
+
+    def __init__(self, workers: int):
+        super().__init__(workers, max_respawns=0)
+
+
 #: Ambient pool consulted by :func:`~repro.runtime.parallel.parallel_map`
 #: when no explicit ``pool`` argument is given.
 _ACTIVE_POOL: PersistentPool | None = None
 
 
 def active_pool() -> PersistentPool | None:
-    """The ambient persistent pool, if one is installed."""
-    return _ACTIVE_POOL
+    """The ambient persistent pool, if one is installed (never in a worker)."""
+    return None if in_worker() else _ACTIVE_POOL
+
+
+def resolve_pool(pool: PersistentPool | None = None) -> PersistentPool | None:
+    """The pool a map may use: ``pool``, else the ambient one.
+
+    None when neither is given, the pool is closed, or this process is
+    itself a worker (:func:`in_worker`).
+    """
+    pool = pool if pool is not None else active_pool()
+    if pool is None or pool.closed or in_worker():
+        return None
+    return pool
 
 
 @contextmanager

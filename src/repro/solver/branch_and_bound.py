@@ -11,6 +11,13 @@ methodology relies on an exact solver, and this one proves optimality
 without any dependency beyond scipy's LP.  For large instances prefer
 the HiGHS backend (:mod:`repro.solver.scipy_backend`); experiment F7
 compares the two.
+
+A solve is three steps: :func:`_root` (root relaxation, warm-start
+incumbent, ``known_bound`` floor), :func:`_explore` (the best-first
+loop) and :func:`_solution` (stop reason to :class:`Solution`).
+:mod:`repro.solver.parallel_bb` runs the same three, stopping the loop
+at a frontier of open nodes and exploring each in a worker, so both
+solvers share one pruning rule, branching rule and incumbent test.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Iterator, Mapping, MutableMapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +47,9 @@ DEFAULT_GAP = 1e-9
 #: Absolute feasibility tolerance for accepting a snapped-integral point
 #: as an incumbent (matches the HiGHS MIP feasibility default).
 FEASIBILITY_TOLERANCE = 1e-6
+
+#: Backend name stamped on serial solutions.
+_BACKEND = "branch-and-bound"
 
 
 def _snapped_if_feasible(form: StandardForm, x: np.ndarray, integral_indices: np.ndarray) -> np.ndarray | None:
@@ -78,10 +89,7 @@ def _most_fractional(x: np.ndarray, integral_indices: np.ndarray) -> int | None:
 
 
 def _seed_incumbent(
-    model: MilpModel,
-    form: StandardForm,
-    names: list[str],
-    warm_start: Mapping[str, float],
+    model: MilpModel, form: StandardForm, warm_start: Mapping[str, float]
 ) -> tuple[np.ndarray | None, float]:
     """Validate a warm-start assignment and turn it into an incumbent.
 
@@ -95,7 +103,7 @@ def _seed_incumbent(
     if not feasible:
         obs.counter("solver.warm_start.rejected").inc()
         return None, float("inf")
-    x = np.array([float(warm_start[name]) for name in names])
+    x = np.array([float(warm_start[var.name]) for var in model.variables])
     integral = np.flatnonzero(form.integrality)
     x[integral] = np.round(x[integral])
     obs.counter("solver.warm_start.accepted").inc()
@@ -126,6 +134,173 @@ def _relax(
     result = solve_lp(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq, lower, upper)
     cache[key] = result
     return result
+
+
+@dataclass
+class _Search:
+    """A best-first search in progress over one compiled form.
+
+    Minimization convention throughout: ``incumbent_obj`` is ``+inf``
+    until an incumbent exists, and ``bound_floor`` is ``-inf`` unless a
+    proven dual bound was supplied.  Heap entries are ``(LP bound,
+    tiebreak, lower bounds, upper bounds)``; ``counter`` hands out the
+    tiebreaks in push order.
+    """
+
+    form: StandardForm
+    incumbent_obj: float = float("inf")
+    incumbent_x: np.ndarray | None = None
+    bound_floor: float = float("-inf")
+    nodes: int = 0
+    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    counter: Iterator[int] = field(default_factory=itertools.count)
+
+    def push(self, bound: float, lower: np.ndarray, upper: np.ndarray) -> None:
+        heapq.heappush(self.heap, (bound, next(self.counter), lower, upper))
+
+
+def _root(
+    model: MilpModel,
+    form: StandardForm,
+    *,
+    warm_start: Mapping[str, float] | None,
+    known_bound: float | None,
+    lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
+) -> _Search | None:
+    """The shared root step: relaxation, warm-start incumbent, bound floor.
+
+    Returns a search holding just the root node, or None when the root
+    relaxation is infeasible; an unbounded relaxation raises.
+    """
+    root = _relax(form, form.lower, form.upper, lp_cache)
+    if root.status == "infeasible":
+        return None
+    if root.status == "unbounded":
+        raise UnboundedError(f"model {model.name!r} has an unbounded LP relaxation")
+    search = _Search(form)
+    if warm_start is not None:
+        search.incumbent_x, search.incumbent_obj = _seed_incumbent(model, form, warm_start)
+    # A proven dual bound from a looser sibling instance tightens every
+    # node's bound.
+    if known_bound is not None:
+        search.bound_floor = form.minimized_from_model_sense(known_bound)
+    search.push(root.objective, form.lower.copy(), form.upper.copy())
+    return search
+
+
+def _explore(
+    search: _Search,
+    *,
+    gap: float,
+    node_budget: int,
+    deadline: float | None,
+    lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
+    frontier_target: int | None = None,
+) -> str:
+    """The best-first loop; every branch-and-bound solve runs through it.
+
+    Advances ``search`` in place and returns why it stopped:
+    ``"exhausted"`` (heap empty), ``"gap"`` (the bound met the
+    incumbent), ``"limit"`` (node budget or deadline), or
+    ``"frontier"`` (the heap reached ``frontier_target`` open nodes —
+    the split step of :mod:`repro.solver.parallel_bb`).
+    """
+    form, heap = search.form, search.heap
+    integral_indices = np.flatnonzero(form.integrality)
+    while heap:
+        if frontier_target is not None and len(heap) >= frontier_target:
+            return "frontier"
+        bound, _, lower, upper = heapq.heappop(heap)
+        # A node whose bound cannot beat the incumbent prunes the rest of
+        # the heap too (best-first order), so we can stop entirely.
+        if search.incumbent_x is not None:
+            effective_bound = max(bound, search.bound_floor)
+            incumbent_obj = search.incumbent_obj
+            relative_gap = (incumbent_obj - effective_bound) / max(1.0, abs(incumbent_obj))
+            if relative_gap <= gap:
+                if effective_bound > bound:
+                    obs.counter("solver.bound_floor.closures").inc()
+                return "gap"
+
+        search.nodes += 1
+        if search.nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
+            return "limit"
+
+        relaxation = _relax(form, lower, upper, lp_cache)
+        if not relaxation.is_optimal:
+            continue  # infeasible subtree
+        if relaxation.objective >= search.incumbent_obj - 1e-12:
+            continue  # cannot improve
+
+        assert relaxation.x is not None
+        branch_var = _most_fractional(relaxation.x, integral_indices)
+        if branch_var is None:
+            snapped = _snapped_if_feasible(form, relaxation.x, integral_indices)
+            if snapped is not None:
+                # Integral solution: new incumbent, valued at the
+                # *snapped* point so the reported objective is exact.
+                objective = float(form.c @ snapped)
+                if objective < search.incumbent_obj:
+                    search.incumbent_obj = objective
+                    search.incumbent_x = snapped
+                continue
+            # Rounding broke a tight row.  Branch on the least-integral
+            # variable anyway — both children exclude this LP point, so
+            # the search separates the near-integer optimum from its
+            # infeasible rounding.  Clip to the node bounds first: a
+            # value epsilon *outside* its bound floors onto the bound,
+            # which would recreate this very node.
+            values = np.clip(
+                relaxation.x[integral_indices],
+                lower[integral_indices],
+                upper[integral_indices],
+            )
+            fractions = np.abs(values - np.round(values))
+            worst = int(np.argmax(fractions))
+            if fractions[worst] == 0.0:
+                # Exactly integral yet infeasible: the LP itself is out
+                # of tolerance (not reachable in practice).  Branching
+                # would recreate this node verbatim, so drop it.
+                continue
+            branch_var = int(integral_indices[worst])
+
+        value = relaxation.x[branch_var]
+        floor_val = np.floor(value)
+        # Down branch: x <= floor(value)
+        down_upper = upper.copy()
+        down_upper[branch_var] = floor_val
+        if lower[branch_var] <= floor_val:
+            search.push(relaxation.objective, lower.copy(), down_upper)
+        # Up branch: x >= ceil(value)
+        up_lower = lower.copy()
+        up_lower[branch_var] = floor_val + 1.0
+        if up_lower[branch_var] <= upper[branch_var]:
+            search.push(relaxation.objective, up_lower, upper.copy())
+
+    return "exhausted"
+
+
+def _solution(model: MilpModel, search: _Search | None, backend: str, stopped: str) -> Solution:
+    """The :class:`Solution` a finished search reports.
+
+    ``search is None`` is an infeasible root (one node).  Without an
+    incumbent the status is ``INFEASIBLE``; a ``"limit"`` stop leaves
+    the incumbent ``FEASIBLE``; any other stop proves it ``OPTIMAL``.
+    """
+    if search is None or search.incumbent_x is None:
+        nodes = 1 if search is None else search.nodes
+        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, backend, nodes)
+    form = search.form
+    integral_indices = np.flatnonzero(form.integrality)
+    rounded = search.incumbent_x.copy()
+    rounded[integral_indices] = np.round(rounded[integral_indices])
+    return Solution(
+        status=SolutionStatus.FEASIBLE if stopped == "limit" else SolutionStatus.OPTIMAL,
+        objective=form.objective_in_model_sense(search.incumbent_obj),
+        values={var.name: float(v) for var, v in zip(model.variables, rounded)},
+        backend=backend,
+        nodes_explored=search.nodes,
+    )
 
 
 def solve_branch_and_bound(
@@ -175,141 +350,20 @@ def solve_branch_and_bound(
         signature (see :func:`_relax`).
     """
     with obs.span("solver.branch_and_bound", model=model.name) as sp:
-        solution = _search(
-            model, time_limit, max_nodes, gap, sp, warm_start, known_bound,
-            lp_cache, dense=dense,
+        form = model.compile(dense=dense)
+        sp.set(variables=int(form.c.size), rows=int(len(form.b_ub) + len(form.b_eq)))
+        deadline = None if time_limit is None else time.monotonic() + time_limit
+        search = _root(
+            model, form, warm_start=warm_start, known_bound=known_bound, lp_cache=lp_cache
         )
+        stopped = "exhausted"
+        if search is not None:
+            stopped = _explore(
+                search, gap=gap, node_budget=max_nodes, deadline=deadline, lp_cache=lp_cache
+            )
+        solution = _solution(model, search, _BACKEND, stopped)
     sp.set(nodes=solution.nodes_explored)
     obs.counter("solver.solves").inc()
     obs.counter("solver.nodes").inc(solution.nodes_explored)
     obs.histogram("solver.solve_seconds").observe(sp.duration)
     return solution
-
-
-def _search(
-    model: MilpModel,
-    time_limit: float | None,
-    max_nodes: int,
-    gap: float,
-    sp: obs.Span,
-    warm_start: Mapping[str, float] | None = None,
-    known_bound: float | None = None,
-    lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None = None,
-    dense: bool = False,
-) -> Solution:
-    form = model.compile(dense=dense)
-    sp.set(variables=int(form.c.size), rows=int(len(form.b_ub) + len(form.b_eq)))
-    names = [v.name for v in model.variables]
-    integral_indices = np.flatnonzero(form.integrality)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-
-    def make_solution(status: SolutionStatus, objective_min: float, x: np.ndarray | None, nodes: int) -> Solution:
-        values: dict[str, float] = {}
-        if x is not None:
-            rounded = x.copy()
-            rounded[integral_indices] = np.round(rounded[integral_indices])
-            values = {name: float(v) for name, v in zip(names, rounded)}
-        objective = form.objective_in_model_sense(objective_min) if x is not None else float("nan")
-        return Solution(
-            status=status,
-            objective=objective,
-            values=values,
-            backend="branch-and-bound",
-            nodes_explored=nodes,
-        )
-
-    # Root relaxation.
-    root = _relax(form, form.lower, form.upper, lp_cache)
-    if root.status == "infeasible":
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "branch-and-bound", 1)
-    if root.status == "unbounded":
-        raise UnboundedError(f"model {model.name!r} has an unbounded LP relaxation")
-
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = float("inf")  # minimization convention
-    if warm_start is not None:
-        incumbent_x, incumbent_obj = _seed_incumbent(model, form, names, warm_start)
-    # A proven dual bound from a looser sibling instance tightens every
-    # node's bound; -inf when no such knowledge exists.
-    bound_floor = (
-        form.minimized_from_model_sense(known_bound) if known_bound is not None else float("-inf")
-    )
-
-    # Priority queue of (lp bound, tiebreak, lower bounds, upper bounds).
-    counter = itertools.count()
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (root.objective, next(counter), form.lower.copy(), form.upper.copy()))
-    nodes = 0
-
-    while heap:
-        bound, _, lower, upper = heapq.heappop(heap)
-        # A node whose bound cannot beat the incumbent prunes the rest of
-        # the heap too (best-first order), so we can stop entirely.
-        if incumbent_x is not None:
-            effective_bound = max(bound, bound_floor)
-            relative_gap = (incumbent_obj - effective_bound) / max(1.0, abs(incumbent_obj))
-            if relative_gap <= gap:
-                if effective_bound > bound:
-                    obs.counter("solver.bound_floor.closures").inc()
-                return make_solution(SolutionStatus.OPTIMAL, incumbent_obj, incumbent_x, nodes)
-
-        nodes += 1
-        if nodes > max_nodes or (deadline is not None and time.monotonic() > deadline):
-            if incumbent_x is not None:
-                return make_solution(SolutionStatus.FEASIBLE, incumbent_obj, incumbent_x, nodes)
-            return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "branch-and-bound", nodes)
-
-        relaxation = _relax(form, lower, upper, lp_cache)
-        if not relaxation.is_optimal:
-            continue  # infeasible subtree
-        if relaxation.objective >= incumbent_obj - 1e-12:
-            continue  # cannot improve
-
-        assert relaxation.x is not None
-        branch_var = _most_fractional(relaxation.x, integral_indices)
-        if branch_var is None:
-            snapped = _snapped_if_feasible(form, relaxation.x, integral_indices)
-            if snapped is not None:
-                # Integral solution: new incumbent, valued at the
-                # *snapped* point so the reported objective is exact.
-                objective = float(form.c @ snapped)
-                if objective < incumbent_obj:
-                    incumbent_obj = objective
-                    incumbent_x = snapped
-                continue
-            # Rounding broke a tight row.  Branch on the least-integral
-            # variable anyway — both children exclude this LP point, so
-            # the search separates the near-integer optimum from its
-            # infeasible rounding.  Clip to the node bounds first: a
-            # value epsilon *outside* its bound floors onto the bound,
-            # which would recreate this very node.
-            values = np.clip(
-                relaxation.x[integral_indices],
-                lower[integral_indices],
-                upper[integral_indices],
-            )
-            fractions = np.abs(values - np.round(values))
-            worst = int(np.argmax(fractions))
-            if fractions[worst] == 0.0:
-                # Exactly integral yet infeasible: the LP itself is out
-                # of tolerance (not reachable in practice).  Branching
-                # would recreate this node verbatim, so drop it.
-                continue
-            branch_var = int(integral_indices[worst])
-
-        value = relaxation.x[branch_var]
-        floor_val = np.floor(value)
-        # Down branch: x <= floor(value)
-        down_upper = upper.copy()
-        down_upper[branch_var] = floor_val
-        if lower[branch_var] <= floor_val:
-            heapq.heappush(heap, (relaxation.objective, next(counter), lower.copy(), down_upper))
-        # Up branch: x >= ceil(value)
-        up_lower = lower.copy()
-        up_lower[branch_var] = floor_val + 1.0
-        if up_lower[branch_var] <= upper[branch_var]:
-            heapq.heappush(heap, (relaxation.objective, next(counter), up_lower, upper.copy()))
-
-    if incumbent_x is not None:
-        return make_solution(SolutionStatus.OPTIMAL, incumbent_obj, incumbent_x, nodes)
-    return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "branch-and-bound", nodes)

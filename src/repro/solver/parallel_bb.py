@@ -7,12 +7,13 @@ report different (equally optimal) deployments, different node counts,
 or — with tolerance interplay — different objectives.  This solver
 buys parallelism without giving up the determinism contract:
 
-1. **Split (serial).**  Run the exact serial best-first loop of
-   :mod:`repro.solver.branch_and_bound` until the heap holds at least
-   ``subtrees`` open nodes (a constant — never a function of the
-   worker count) or the instance is solved outright.
-2. **Explore (parallel).**  Each frontier node becomes one task: an
-   independent branch-and-bound run over its ``(lower, upper)`` box,
+1. **Split (serial).**  Run the root step and the best-first loop of
+   :mod:`repro.solver.branch_and_bound` — the same code the serial
+   solver runs — until the heap holds at least ``subtrees`` open nodes
+   (a constant — never a function of the worker count) or the instance
+   is solved outright.
+2. **Explore (parallel).**  Each frontier node becomes one task: that
+   same loop run to completion over the node's ``(lower, upper)`` box,
    seeded with the phase-1 incumbent and nothing else.  Workers never
    exchange incumbents mid-flight — each subtree's result is a pure
    function of its task, so scheduling cannot influence it.  Tasks are
@@ -46,9 +47,6 @@ this on 50 seeded instances.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import multiprocessing
 import time
 from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
@@ -57,24 +55,23 @@ import numpy as np
 import scipy.sparse as _sp
 
 from repro import obs
-from repro.errors import UnboundedError
 from repro.runtime import faults
 from repro.runtime.parallel import parallel_map, spawn_seeds
 from repro.runtime.pool import (
     PersistentPool,
     SharedArraysHandle,
-    active_pool,
     attach_arrays,
+    resolve_pool,
 )
 from repro.solver.branch_and_bound import (
     DEFAULT_GAP,
-    _most_fractional,
-    _relax,
-    _seed_incumbent,
-    _snapped_if_feasible,
+    _explore,
+    _root,
+    _Search,
+    _solution,
 )
 from repro.solver.lp import LpResult
-from repro.solver.model import MilpModel, Solution, SolutionStatus, StandardForm
+from repro.solver.model import MilpModel, Solution, StandardForm
 from repro.solver.sparse import is_sparse
 
 __all__ = ["DEFAULT_SUBTREES", "solve_parallel_branch_and_bound"]
@@ -186,11 +183,11 @@ def _attach_form(handle: _FormHandle) -> StandardForm:
 class _SubtreeTask:
     """One frontier subtree, self-contained for a worker process.
 
-    ``form`` is either the :class:`StandardForm` itself (serial or
-    pool-less dispatch; pickled per task) or a :class:`_FormHandle`
-    (zero-copy).  ``subtree`` is the deterministic tiebreak index: the
-    node's rank in the ``(bound, heap counter)``-sorted frontier,
-    independent of the seeded dispatch order.
+    ``form`` is either the :class:`StandardForm` itself (no persistent
+    pool; pickled per task) or a :class:`_FormHandle` (zero-copy).
+    ``subtree`` is the deterministic tiebreak index: the node's rank in
+    the ``(bound, heap counter)``-sorted frontier, independent of the
+    seeded dispatch order.
     """
 
     subtree: int
@@ -218,90 +215,6 @@ class _SubtreeResult:
     exhausted: bool  # False when a node/time limit truncated the search
 
 
-def _explore(
-    form: StandardForm,
-    integral_indices: np.ndarray,
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]],
-    counter: "itertools.count[int]",
-    incumbent_obj: float,
-    incumbent_x: np.ndarray | None,
-    *,
-    gap: float,
-    bound_floor: float,
-    node_budget: int,
-    deadline: float | None,
-    lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
-    frontier_target: int | None,
-    nodes: int = 0,
-) -> tuple[float, np.ndarray | None, int, str]:
-    """The serial best-first loop, reusable for splitting and subtrees.
-
-    Mutates ``heap`` in place and returns ``(incumbent objective,
-    incumbent point, nodes explored, why the loop stopped)`` with the
-    stop reason one of ``"exhausted"`` (heap empty), ``"gap"`` (bound
-    met the incumbent), ``"limit"`` (node budget or deadline), or
-    ``"frontier"`` (the heap reached ``frontier_target`` open nodes).
-    Node processing is line-for-line the serial solver's — same
-    pruning margins, same branching rule, same snapped-incumbent
-    acceptance — so a decomposed search proves the same optima.
-    """
-    while heap:
-        if frontier_target is not None and len(heap) >= frontier_target:
-            return incumbent_obj, incumbent_x, nodes, "frontier"
-        bound, _, lower, upper = heapq.heappop(heap)
-        if incumbent_x is not None:
-            effective_bound = max(bound, bound_floor)
-            relative_gap = (incumbent_obj - effective_bound) / max(1.0, abs(incumbent_obj))
-            if relative_gap <= gap:
-                if effective_bound > bound:
-                    obs.counter("solver.bound_floor.closures").inc()
-                return incumbent_obj, incumbent_x, nodes, "gap"
-
-        nodes += 1
-        if nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
-            return incumbent_obj, incumbent_x, nodes, "limit"
-
-        relaxation = _relax(form, lower, upper, lp_cache)
-        if not relaxation.is_optimal:
-            continue  # infeasible subtree
-        if relaxation.objective >= incumbent_obj - 1e-12:
-            continue  # cannot improve
-
-        assert relaxation.x is not None
-        branch_var = _most_fractional(relaxation.x, integral_indices)
-        if branch_var is None:
-            snapped = _snapped_if_feasible(form, relaxation.x, integral_indices)
-            if snapped is not None:
-                objective = float(form.c @ snapped)
-                if objective < incumbent_obj:
-                    incumbent_obj = objective
-                    incumbent_x = snapped
-                continue
-            values = np.clip(
-                relaxation.x[integral_indices],
-                lower[integral_indices],
-                upper[integral_indices],
-            )
-            fractions = np.abs(values - np.round(values))
-            worst = int(np.argmax(fractions))
-            if fractions[worst] == 0.0:
-                continue
-            branch_var = int(integral_indices[worst])
-
-        value = relaxation.x[branch_var]
-        floor_val = np.floor(value)
-        down_upper = upper.copy()
-        down_upper[branch_var] = floor_val
-        if lower[branch_var] <= floor_val:
-            heapq.heappush(heap, (relaxation.objective, next(counter), lower.copy(), down_upper))
-        up_lower = lower.copy()
-        up_lower[branch_var] = floor_val + 1.0
-        if up_lower[branch_var] <= upper[branch_var]:
-            heapq.heappush(heap, (relaxation.objective, next(counter), up_lower, upper.copy()))
-
-    return incumbent_obj, incumbent_x, nodes, "exhausted"
-
-
 def _run_subtree(task: _SubtreeTask) -> _SubtreeResult:
     """Explore one frontier subtree to completion (worker entry point).
 
@@ -314,31 +227,24 @@ def _run_subtree(task: _SubtreeTask) -> _SubtreeResult:
     if task.plan is not None:
         task.plan.fire(f"solver.parallel_bb.subtree[{task.subtree}]")
     form = task.form if isinstance(task.form, StandardForm) else _attach_form(task.form)
-    integral_indices = np.flatnonzero(form.integrality)
-    deadline = None if task.time_remaining is None else time.monotonic() + task.time_remaining
-    counter = itertools.count()
+    search = _Search(form, task.incumbent_obj, task.incumbent_x, task.bound_floor)
     # Seed the heap with the node exactly as it sat in the phase-1
     # frontier — same bound, so the first gap check matches what the
     # serial loop would have computed on popping it.
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (task.bound, next(counter), task.lower.copy(), task.upper.copy()))
+    search.push(task.bound, task.lower.copy(), task.upper.copy())
+    deadline = None if task.time_remaining is None else time.monotonic() + task.time_remaining
     with obs.span("solver.parallel_bb.subtree", subtree=task.subtree) as sp:
-        objective, x, nodes, stopped = _explore(
-            form,
-            integral_indices,
-            heap,
-            counter,
-            task.incumbent_obj,
-            task.incumbent_x,
-            gap=task.gap,
-            bound_floor=task.bound_floor,
-            node_budget=task.node_budget,
-            deadline=deadline,
-            lp_cache=None,
-            frontier_target=None,
+        stopped = _explore(
+            search, gap=task.gap, node_budget=task.node_budget, deadline=deadline, lp_cache=None
         )
-        sp.set(nodes=nodes, stopped=stopped)
-    return _SubtreeResult(task.subtree, objective, x, nodes, stopped in ("exhausted", "gap"))
+        sp.set(nodes=search.nodes, stopped=stopped)
+    return _SubtreeResult(
+        task.subtree,
+        search.incumbent_obj,
+        search.incumbent_x,
+        search.nodes,
+        stopped in ("exhausted", "gap"),
+    )
 
 
 def solve_parallel_branch_and_bound(
@@ -422,84 +328,29 @@ def _solve(
     lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
 ) -> Solution:
     form = model.compile()
-    names = [v.name for v in model.variables]
-    integral_indices = np.flatnonzero(form.integrality)
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    pool = pool if pool is not None else active_pool()
-    if pool is not None and pool.closed:
-        pool = None
-    if multiprocessing.parent_process() is not None:
-        # Already inside a worker (e.g. a parallel budget sweep carrying
-        # bb_workers): forking a second pool from a forked worker can
-        # deadlock on locks copied mid-acquisition.  Subtrees run
-        # in-process instead — results are bit-identical at any worker
-        # count, so this is pure scheduling, never semantics.
-        workers, pool = 1, None
-        obs.counter("solver.parallel.nested_serial").inc()
-
-    def make_solution(
-        status: SolutionStatus, objective_min: float, x: np.ndarray | None, nodes: int
-    ) -> Solution:
-        values: dict[str, float] = {}
-        if x is not None:
-            rounded = x.copy()
-            rounded[integral_indices] = np.round(rounded[integral_indices])
-            values = {name: float(v) for name, v in zip(names, rounded)}
-        objective = form.objective_in_model_sense(objective_min) if x is not None else float("nan")
-        return Solution(
-            status=status,
-            objective=objective,
-            values=values,
-            backend=_BACKEND,
-            nodes_explored=nodes,
-        )
-
-    root = _relax(form, form.lower, form.upper, lp_cache)
-    if root.status == "infeasible":
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, _BACKEND, 1)
-    if root.status == "unbounded":
-        raise UnboundedError(f"model {model.name!r} has an unbounded LP relaxation")
-
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = float("inf")
-    if warm_start is not None:
-        incumbent_x, incumbent_obj = _seed_incumbent(model, form, names, warm_start)
-    bound_floor = (
-        form.minimized_from_model_sense(known_bound) if known_bound is not None else float("-inf")
-    )
+    search = _root(model, form, warm_start=warm_start, known_bound=known_bound, lp_cache=lp_cache)
+    if search is None:
+        return _solution(model, None, _BACKEND, "exhausted")
 
     # Phase 1: serial split to a worker-count-independent frontier.
-    counter = itertools.count()
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (root.objective, next(counter), form.lower.copy(), form.upper.copy()))
-    incumbent_obj, incumbent_x, split_nodes, stopped = _explore(
-        form,
-        integral_indices,
-        heap,
-        counter,
-        incumbent_obj,
-        incumbent_x,
+    stopped = _explore(
+        search,
         gap=gap,
-        bound_floor=bound_floor,
         node_budget=max_nodes,
         deadline=deadline,
         lp_cache=lp_cache,
         frontier_target=subtrees,
     )
-    obs.counter("solver.parallel.splits").inc(split_nodes)
-    if stopped in ("exhausted", "gap"):
-        if incumbent_x is not None:
-            return make_solution(SolutionStatus.OPTIMAL, incumbent_obj, incumbent_x, split_nodes)
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, _BACKEND, split_nodes)
-    if stopped == "limit":
-        if incumbent_x is not None:
-            return make_solution(SolutionStatus.FEASIBLE, incumbent_obj, incumbent_x, split_nodes)
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, _BACKEND, split_nodes)
+    obs.counter("solver.parallel.splits").inc(search.nodes)
+    if stopped != "frontier":
+        return _solution(model, search, _BACKEND, stopped)
 
     # Phase 2: one task per frontier node.  The tiebreak index is the
     # node's rank in (bound, heap counter) order — deterministic and
     # independent of the seeded dispatch shuffle below.
-    frontier = sorted(heap, key=lambda node: (node[0], node[1]))
+    frontier = sorted(search.heap, key=lambda node: (node[0], node[1]))
+    pool = resolve_pool(pool)
     form_ref: StandardForm | _FormHandle = form
     if pool is not None:
         form_ref = _publish_form(form, pool)
@@ -511,9 +362,9 @@ def _solve(
             bound=bound,
             lower=lower,
             upper=upper,
-            incumbent_obj=incumbent_obj,
-            incumbent_x=incumbent_x,
-            bound_floor=bound_floor,
+            incumbent_obj=search.incumbent_obj,
+            incumbent_x=search.incumbent_x,
+            bound_floor=search.bound_floor,
             gap=gap,
             node_budget=max_nodes,
             time_remaining=(
@@ -532,17 +383,12 @@ def _solve(
 
     # Phase 3: commutative merge keyed on (objective, tiebreak index);
     # the phase-1 incumbent enters at index -1 so exact ties prefer it.
-    best = (incumbent_obj, -1, incumbent_x)
-    total_nodes = split_nodes
+    best = (search.incumbent_obj, -1, search.incumbent_x)
     exhausted = True
     for result in results:
-        total_nodes += result.nodes
+        search.nodes += result.nodes
         exhausted = exhausted and result.exhausted
         if result.x is not None and (result.objective, result.subtree) < (best[0], best[1]):
             best = (result.objective, result.subtree, result.x)
-
-    best_obj, _, best_x = best
-    if best_x is None:
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, _BACKEND, total_nodes)
-    status = SolutionStatus.OPTIMAL if exhausted else SolutionStatus.FEASIBLE
-    return make_solution(status, best_obj, best_x, total_nodes)
+    search.incumbent_obj, _, search.incumbent_x = best
+    return _solution(model, search, _BACKEND, "exhausted" if exhausted else "limit")

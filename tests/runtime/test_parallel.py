@@ -1,6 +1,8 @@
 """Unit tests for the parallel map and deterministic seed spawning."""
 
+import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from repro.runtime.parallel import (
     spawn_generators,
     spawn_seeds,
 )
+from repro.runtime.pool import SEGMENT_PREFIX, PersistentPool, use_pool
+from repro.runtime.resilience import RetryPolicy
 
 
 def _square(x):
@@ -26,6 +30,20 @@ def _counted_square(x):
 
 def _draw(seed_seq):
     return float(np.random.default_rng(seed_seq).random())
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _nested_pids(_):
+    """An outer task that runs a 2-worker map of its own."""
+    return os.getpid(), parallel_map(_pid, range(4), workers=2)
+
+
+def _shm_segments() -> set[str]:
+    root = Path("/dev/shm")
+    return {p.name for p in root.glob(f"{SEGMENT_PREFIX}-*")} if root.is_dir() else set()
 
 
 class TestResolveWorkers:
@@ -120,3 +138,34 @@ class TestParallelMap:
         assert results == [[x * x for x in range(jobs)] for _ in range(rounds)]
         expected = float(rounds * jobs)
         assert cap.registry.counter("test.parallel.threaded_jobs").value == expected
+
+
+class TestNestedForkGuard:
+    """A map inside a worker runs in that worker: no pool forks from a fork."""
+
+    # A nested map that does fork (or drives an inherited pool) can hang;
+    # the timeout turns that into a failure instead.
+    POLICY = RetryPolicy(timeout=30)
+
+    def _assert_nested_maps_ran_in_process(self, run):
+        before = _shm_segments()
+        with obs.capture() as cap:
+            outer = run()
+        assert len(outer) == 2
+        for worker_pid, inner_pids in outer:
+            assert worker_pid != os.getpid()
+            assert inner_pids == [worker_pid] * 4
+        assert cap.registry.counter("parallel.nested_serial").value == 2.0
+        assert _shm_segments() == before
+
+    def test_nested_map_without_a_pool(self):
+        self._assert_nested_maps_ran_in_process(
+            lambda: parallel_map(_nested_pids, range(2), workers=2, policy=self.POLICY)
+        )
+
+    def test_nested_map_under_an_ambient_pool(self):
+        def run():
+            with PersistentPool(workers=2) as pool, use_pool(pool):
+                return parallel_map(_nested_pids, range(2), policy=self.POLICY)
+
+        self._assert_nested_maps_ran_in_process(run)
