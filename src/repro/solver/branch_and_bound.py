@@ -65,8 +65,8 @@ def _snapped_if_feasible(form: StandardForm, x: np.ndarray, integral_indices: np
     snapped = x.copy()
     snapped[integral_indices] = np.round(snapped[integral_indices])
     tol = FEASIBILITY_TOLERANCE
-    # Emptiness by rhs length (CSR .size is nnz); `A @ x` works for both
-    # dense and sparse matrices and returns a dense vector either way.
+    # Emptiness by rhs length (CSR .size is nnz); `A @ x` on CSR returns
+    # a dense vector.
     if form.b_ub.size and np.any(form.A_ub @ snapped > form.b_ub + tol):
         return None
     if form.b_eq.size and np.any(np.abs(form.A_eq @ snapped - form.b_eq) > tol):
@@ -312,7 +312,6 @@ def solve_branch_and_bound(
     warm_start: Mapping[str, float] | None = None,
     known_bound: float | None = None,
     lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None = None,
-    dense: bool = False,
 ) -> Solution:
     """Solve ``model`` to proven optimality by branch and bound.
 
@@ -320,12 +319,6 @@ def solve_branch_and_bound(
     ----------
     model:
         The MILP to solve.
-    dense:
-        Compile the constraint matrices densely instead of CSR.
-        Retained for differential testing and the F14 before/after
-        measurement; answers are bit-identical, only node bound
-        computation cost changes.  Subject to the dense cell limit
-        (:data:`~repro.solver.model.MAX_DENSE_CELLS`).
     time_limit:
         Wall-clock seconds after which the best incumbent is returned
         with status ``FEASIBLE`` (or ``INFEASIBLE`` if none was found).
@@ -350,7 +343,7 @@ def solve_branch_and_bound(
         signature (see :func:`_relax`).
     """
     with obs.span("solver.branch_and_bound", model=model.name) as sp:
-        form = model.compile(dense=dense)
+        form = model.compile()
         sp.set(variables=int(form.c.size), rows=int(len(form.b_ub) + len(form.b_eq)))
         deadline = None if time_limit is None else time.monotonic() + time_limit
         search = _root(

@@ -12,26 +12,21 @@ Maximization is normalized to minimization by negating ``c`` at compile
 time; backends always minimize and :class:`Solution` objects report the
 objective in the model's original sense.
 
-Compilation is **sparse by default**: the constraint matrices come back
-as canonical scipy CSR, assembled in ``O(nnz + rows)`` from a
+Compilation is **sparse**: the constraint matrices come back as
+canonical scipy CSR, assembled in ``O(nnz + rows)`` from a
 per-constraint sparse-row memo.  The deployment formulations are well
-under 1% dense at catalog scale, where the historical dense
-``np.zeros(n)``-per-row path cost ``O(rows x vars)`` time and memory
-per compile — seconds and hundreds of megabytes at 1000+ monitors.
-The dense path is retained behind ``compile(dense=True)`` for
-differential testing and small-model consumers; both paths read the
-same row memo, so their numeric content is bit-identical (the sparse
-differential suite in ``tests/solver/test_sparse_compile.py`` pins
-this).  Dense compilation refuses matrices beyond
-:data:`MAX_DENSE_CELLS` cells — at that size the dense form is a
-mistake, not a preference.
+under 1% dense at catalog scale, where a dense ``np.zeros(n)``-per-row
+form would cost ``O(rows x vars)`` time and memory per compile —
+seconds and hundreds of megabytes at 1000+ monitors.  The differential
+suite in ``tests/solver/test_sparse_compile.py`` pins the CSR form
+cell for cell against a dense reference compile kept under ``tests/``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as _sp
@@ -45,12 +40,7 @@ from repro.solver.expressions import (
     Variable,
     VarKind,
 )
-from repro.solver.sparse import (
-    csr_from_rows,
-    dense_equivalent_nbytes,
-    matrix_nbytes,
-    to_dense,
-)
+from repro.solver.sparse import csr_from_rows, dense_equivalent_nbytes, matrix_nbytes
 
 __all__ = [
     "ObjectiveSense",
@@ -58,17 +48,7 @@ __all__ = [
     "StandardForm",
     "SolutionStatus",
     "Solution",
-    "MAX_DENSE_CELLS",
 ]
-
-#: Hard ceiling on ``rows x vars`` for ``compile(dense=True)``.  A
-#: 25M-cell float64 matrix is 200 MB before the ``np.array`` stack copy
-#: and presolve's sign-split copies multiply it; above this the dense
-#: path refuses with a pointer at the sparse default instead of
-#: thrashing the allocator.  (At catalog scale — 2000 monitors / 500
-#: attacks — the standard form is ~29.5M cells, past this limit, while
-#: its CSR payload stays under a megabyte.)
-MAX_DENSE_CELLS = 25_000_000
 
 
 class ObjectiveSense(str, enum.Enum):
@@ -82,18 +62,17 @@ class ObjectiveSense(str, enum.Enum):
 class StandardForm:
     """Numeric form of a model (minimization convention).
 
-    ``A_ub``/``A_eq`` are canonical CSR under the default sparse
-    compile and plain ``float64`` ndarrays under ``compile(dense=True)``;
-    every other field is always dense.  Emptiness of a constraint block
-    must be tested via ``b_ub.size``/``b_eq.size`` (or the row count of
-    the shape) — for a sparse matrix ``.size`` is the *nonzero* count,
-    so a genuine all-zero row would vanish from a ``A_ub.size`` test.
+    ``A_ub``/``A_eq`` are canonical CSR; every other field is a dense
+    vector.  Emptiness of a constraint block must be tested via
+    ``b_ub.size``/``b_eq.size`` (or the row count of the shape) — for a
+    sparse matrix ``.size`` is the *nonzero* count, so a genuine
+    all-zero row would vanish from a ``A_ub.size`` test.
     """
 
     c: np.ndarray
-    A_ub: np.ndarray | _sp.csr_matrix
+    A_ub: _sp.csr_matrix
     b_ub: np.ndarray
-    A_eq: np.ndarray | _sp.csr_matrix
+    A_eq: _sp.csr_matrix
     b_eq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -106,11 +85,6 @@ class StandardForm:
         return self.c.shape[0]
 
     @property
-    def is_sparse(self) -> bool:
-        """Whether the constraint matrices are scipy CSR."""
-        return _sp.issparse(self.A_ub) or _sp.issparse(self.A_eq)
-
-    @property
     def matrix_nbytes(self) -> int:
         """Actual payload bytes of ``A_ub`` + ``A_eq`` as stored."""
         return matrix_nbytes(self.A_ub) + matrix_nbytes(self.A_eq)
@@ -119,12 +93,6 @@ class StandardForm:
     def dense_matrix_nbytes(self) -> int:
         """Bytes the constraint matrices would occupy densely."""
         return dense_equivalent_nbytes(self.A_ub) + dense_equivalent_nbytes(self.A_eq)
-
-    def to_dense(self) -> StandardForm:
-        """This form with the constraint matrices densified (no-op if dense)."""
-        if not self.is_sparse:
-            return self
-        return replace(self, A_ub=to_dense(self.A_ub), A_eq=to_dense(self.A_eq))
 
     def objective_in_model_sense(self, minimized_value: float) -> float:
         """Convert a backend's minimized objective to the model's sense."""
@@ -172,14 +140,6 @@ class Solution:
             return self.values[name]
         except KeyError:
             raise SolverError(f"solution has no variable {name!r}") from None
-
-
-def _densify_rows(rows: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """Materialize ``(cols, vals)`` row fragments as a dense matrix."""
-    matrix = np.zeros((len(rows), n))
-    for i, (cols, vals) in enumerate(rows):
-        matrix[i, cols] = vals
-    return matrix
 
 
 class MilpModel:
@@ -308,32 +268,18 @@ class MilpModel:
 
     # -- compilation -----------------------------------------------------------
 
-    def compile(self, *, dense: bool = False) -> StandardForm:
-        """Compile to standard (minimization) form — CSR by default.
+    def compile(self) -> StandardForm:
+        """Compile to standard (minimization) form with CSR matrices.
 
         ``GE`` rows are negated into ``LE`` rows; a maximization
         objective is negated, with the flip recorded so solutions can be
         reported in the model's original sense.
-
-        With ``dense=True`` the constraint matrices are materialized as
-        plain ndarrays from the same row memo — numerically identical
-        cell for cell, kept for differential testing and small-model
-        callers.  The dense path refuses matrices beyond
-        :data:`MAX_DENSE_CELLS` cells with a :class:`SolverError`.
         """
-        with obs.span("solver.compile", model=self.name, dense=dense):
-            return self._compile(dense)
+        with obs.span("solver.compile", model=self.name):
+            return self._compile()
 
-    def _compile(self, dense: bool) -> StandardForm:
+    def _compile(self) -> StandardForm:
         n = len(self._variables)
-        if dense and len(self._constraints) * n > MAX_DENSE_CELLS:
-            raise SolverError(
-                f"refusing dense compile of model {self.name!r}: "
-                f"{len(self._constraints)} rows x {n} vars = "
-                f"{len(self._constraints) * n} cells exceeds the "
-                f"{MAX_DENSE_CELLS}-cell dense limit; use the default "
-                f"sparse compile"
-            )
         c = np.zeros(n)
         for var, coef in self._objective.terms.items():
             c[var.index] = coef
@@ -376,18 +322,11 @@ class MilpModel:
                 ub_rows.append((cols, vals))
                 ub_rhs.append(rhs)
 
-        if dense:
-            A_ub = _densify_rows(ub_rows, n)
-            A_eq = _densify_rows(eq_rows, n)
-        else:
-            A_ub = csr_from_rows(ub_rows, n)
-            A_eq = csr_from_rows(eq_rows, n)
-
         form = StandardForm(
             c=c,
-            A_ub=A_ub,
+            A_ub=csr_from_rows(ub_rows, n),
             b_ub=np.array(ub_rhs) if ub_rhs else np.empty(0),
-            A_eq=A_eq,
+            A_eq=csr_from_rows(eq_rows, n),
             b_eq=np.array(eq_rhs) if eq_rhs else np.empty(0),
             lower=np.array([v.lower for v in self._variables]),
             upper=np.array([v.upper for v in self._variables]),

@@ -72,7 +72,6 @@ from repro.solver.branch_and_bound import (
 )
 from repro.solver.lp import LpResult
 from repro.solver.model import MilpModel, Solution, StandardForm
-from repro.solver.sparse import is_sparse
 
 __all__ = ["DEFAULT_SUBTREES", "solve_parallel_branch_and_bound"]
 
@@ -90,24 +89,23 @@ _BACKEND = "parallel-bb"
 class _FormHandle:
     """Zero-copy ticket for a published :class:`StandardForm`.
 
-    ``csr_shapes`` records which constraint matrices were published as
-    CSR triples (``<name>.data/.indices/.indptr`` entries in the array
-    set) and their logical shapes; matrices absent from it were
-    published as plain dense blocks.
+    Each constraint matrix ships as its CSR triple
+    (``<name>.data/.indices/.indptr`` entries in the array set); its
+    column count is the length of ``c`` and its row count that of the
+    matching rhs vector.
     """
 
     arrays: SharedArraysHandle
     objective_constant: float
     maximize: bool
-    csr_shapes: tuple[tuple[str, tuple[int, int]], ...] = ()
 
 
 def _publish_form(form: StandardForm, pool: PersistentPool) -> _FormHandle:
     """Publish the compiled matrices once into ``pool``'s shared memory.
 
-    A CSR matrix ships as its three flat arrays — the nnz-proportional
-    payload — never as a densified block; at catalog scale that is the
-    difference between a few megabytes and a few hundred.
+    Each CSR matrix ships as its three flat arrays — the nnz-proportional
+    payload; at catalog scale a densified block would be a few hundred
+    megabytes instead of a few.
     """
     arrays: dict[str, np.ndarray] = {
         "c": form.c,
@@ -117,22 +115,15 @@ def _publish_form(form: StandardForm, pool: PersistentPool) -> _FormHandle:
         "upper": form.upper,
         "integrality": form.integrality,
     }
-    csr_shapes: list[tuple[str, tuple[int, int]]] = []
     for name, matrix in (("A_ub", form.A_ub), ("A_eq", form.A_eq)):
-        if is_sparse(matrix):
-            csr = matrix.tocsr()
-            arrays[f"{name}.data"] = csr.data
-            arrays[f"{name}.indices"] = csr.indices
-            arrays[f"{name}.indptr"] = csr.indptr
-            csr_shapes.append((name, (int(csr.shape[0]), int(csr.shape[1]))))
-        else:
-            arrays[name] = matrix
+        arrays[f"{name}.data"] = matrix.data
+        arrays[f"{name}.indices"] = matrix.indices
+        arrays[f"{name}.indptr"] = matrix.indptr
     handle = pool.share(arrays)
     return _FormHandle(
         arrays=handle,
         objective_constant=form.objective_constant,
         maximize=form.maximize,
-        csr_shapes=tuple(csr_shapes),
     )
 
 
@@ -146,8 +137,9 @@ def _attach_form(handle: _FormHandle) -> StandardForm:
     if cached is not None:
         return cached
     arrays = attach_arrays(handle.arrays)
-    matrices: dict[str, np.ndarray | _sp.csr_matrix] = {}
-    for name, shape in handle.csr_shapes:
+    num_columns = arrays["c"].shape[0]
+    matrices: dict[str, _sp.csr_matrix] = {}
+    for name, rhs in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
         # Rebuild CSR over the read-only shared views without copying:
         # solvers only ever read the matrices, and the uniform index
         # dtype from compile keeps scipy from unifying (= copying).
@@ -157,7 +149,7 @@ def _attach_form(handle: _FormHandle) -> StandardForm:
                 arrays[f"{name}.indices"],
                 arrays[f"{name}.indptr"],
             ),
-            shape=shape,
+            shape=(arrays[rhs].shape[0], num_columns),
             copy=False,
         )
         csr.has_sorted_indices = True
@@ -165,9 +157,9 @@ def _attach_form(handle: _FormHandle) -> StandardForm:
         matrices[name] = csr
     form = StandardForm(
         c=arrays["c"],
-        A_ub=matrices.get("A_ub", arrays.get("A_ub")),
+        A_ub=matrices["A_ub"],
         b_ub=arrays["b_ub"],
-        A_eq=matrices.get("A_eq", arrays.get("A_eq")),
+        A_eq=matrices["A_eq"],
         b_eq=arrays["b_eq"],
         lower=arrays["lower"],
         upper=arrays["upper"],

@@ -31,14 +31,10 @@ Solutions of the reduced model lift back through
 reduced model's objective carries the fixed variables' contribution in
 its constant term, so backends already report the full-model objective.
 
-The reducer works on **CSR matrices internally**, whatever compile
-flavor produced the input: one arithmetic pipeline means
-sparse-compiled and dense-compiled instances presolve identically by
-construction.  The dominated-column rule has two engines over the same
-mathematical conditions — a dense vectorized one for small candidate
-sets, and a bitset-prefiltered sparse one that stays tractable at
-catalog scale (thousands of monitor columns), which is exactly where
-the dense engine used to hit :data:`DOMINANCE_WORK_LIMIT` and give up.
+The reducer works on the compiled **CSR matrices** directly.  The
+dominated-column rule runs one bitset-prefiltered sparse engine that
+stays tractable at catalog scale (thousands of monitor columns); only
+past :data:`SPARSE_DOMINANCE_WORK_LIMIT` is the rule skipped.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from repro.solver.model import (
     SolutionStatus,
     StandardForm,
 )
-from repro.solver.sparse import is_sparse, pack_bitset
+from repro.solver.sparse import pack_bitset
 
 __all__ = [
     "PresolveStatus",
@@ -76,12 +72,7 @@ FEASIBILITY_TOLERANCE = 1e-9
 #: Tolerance when snapping implied integer bounds to integers.
 INTEGRALITY_TOLERANCE = 1e-6
 
-#: Dense pairwise dominance checking is O(binaries^2 * rows); above
-#: this many elementary comparisons the rule switches to the sparse
-#: bitset engine instead of materializing candidate submatrices.
-DOMINANCE_WORK_LIMIT = 50_000_000
-
-#: The sparse engine's prefilter is O(binaries^2 * rows/64) uint64
+#: The dominance engine's prefilter is O(binaries^2 * rows/64) uint64
 #: word operations; above this the rule is skipped outright (counted,
 #: never silent).  At 2000 monitors / 4000 rows the prefilter is ~3e8
 #: word ops — well inside; a 20k-column pathology is not.
@@ -231,39 +222,24 @@ def _pair_dominates(
     return True, equal
 
 
-def _as_csr(matrix: np.ndarray | _sp.spmatrix, n: int) -> _sp.csr_matrix:
-    """``matrix`` as canonical CSR, whatever compile flavor produced it."""
-    if is_sparse(matrix):
-        csr = matrix.tocsr()
-        csr.sort_indices()
-        return csr
-    dense = np.asarray(matrix, dtype=np.float64)
-    if dense.size == 0:
-        return _sp.csr_matrix((dense.shape[0], n), dtype=np.float64)
-    return _sp.csr_matrix(dense)
-
-
 class _Reducer:
     """Mutable working state of one presolve pass (minimization form).
 
-    The coefficient matrices are held as canonical CSR regardless of
-    how the model was compiled: every reduction then runs the exact
-    same floating-point pipeline for both compile flavors, which is
-    what makes sparse-vs-dense presolve identity hold by construction.
-    Reductions never touch coefficients — only rhs vectors, bounds,
-    and the active-row masks — so the matrices (and their cached sign
-    splits) are immutable for the reducer's whole lifetime.
+    The coefficient matrices are the compiled canonical CSR, shared
+    with :attr:`form`.  Reductions never touch coefficients — only rhs
+    vectors, bounds, and the active-row masks — so the matrices (and
+    their cached sign splits) are immutable for the reducer's whole
+    lifetime.
     """
 
     def __init__(self, model: MilpModel):
         self.model = model
         self.form = model.compile()
         form = self.form
-        n = form.num_variables
         self.c = form.c.copy()
-        self.A_ub = _as_csr(form.A_ub, n)
+        self.A_ub = form.A_ub
         self.b_ub = form.b_ub.copy()
-        self.A_eq = _as_csr(form.A_eq, n)
+        self.A_eq = form.A_eq
         self.b_eq = form.b_eq.copy()
         self.lower = form.lower.copy()
         self.upper = form.upper.copy()
@@ -278,7 +254,7 @@ class _Reducer:
         self._pos_eq = self.A_eq.maximum(0.0)
         self._neg_eq = self.A_eq.minimum(0.0)
         self.stats = PresolveStats(
-            columns_before=n,
+            columns_before=form.num_variables,
             rows_before=len(self.b_ub) + len(self.b_eq),
         )
         # Snap integer bounds onto the lattice up front.
@@ -513,17 +489,14 @@ class _Reducer:
         removes exactly one of the pair.  Equality constraints opt a
         column out of both roles — the swap argument needs slack.
 
-        Two engines implement these conditions.  Small candidate sets
-        take the dense vectorized engine (materializing the candidate
-        submatrix); when that would exceed :data:`DOMINANCE_WORK_LIMIT`
-        elementary comparisons — the regime where the rule previously
-        just gave up — the sparse engine takes over: uint64 row-support
-        bitsets prefilter (dominance forces ``pos(j) ⊆ pos(k)`` and
-        ``neg(k) ⊆ neg(j)``), and only prefilter survivors pay an exact
-        two-pointer merge over their supports.  This is the reduction
-        that actually collapses thousands-of-monitor catalogs: a
-        monitor whose evidence is covered by a no-more-expensive rival
-        is proven droppable before the solver ever branches.
+        The engine (:meth:`_dominated_bitset`) never materializes the
+        candidate submatrix: uint64 row-support bitsets prefilter
+        (dominance forces ``pos(j) ⊆ pos(k)`` and ``neg(k) ⊆ neg(j)``),
+        and only prefilter survivors pay an exact two-pointer merge over
+        their supports.  This is the reduction that actually collapses
+        thousands-of-monitor catalogs: a monitor whose evidence is
+        covered by a no-more-expensive rival is proven droppable before
+        the solver ever branches.
         """
         unfixed = ~self.fixed_mask
         binary = (
@@ -539,8 +512,6 @@ class _Reducer:
         if cand.size < 2:
             return False
         rows = np.flatnonzero(self.active_ub)
-        if cand.size * cand.size * max(rows.size, 1) <= DOMINANCE_WORK_LIMIT:
-            return self._dominated_dense(cand, rows)
         words = max(1, -(-max(rows.size, 1) // 64))
         if cand.size * cand.size * words > SPARSE_DOMINANCE_WORK_LIMIT:
             if not self.stats.dominance_skipped:
@@ -549,51 +520,14 @@ class _Reducer:
             return False
         self.stats.sparse_dominance_rounds += 1
         obs.counter("presolve.dominance_sparse_rounds").inc()
-        return self._dominated_sparse(cand, rows)
+        return self._dominated_bitset(cand, rows)
 
-    def _dominated_dense(self, cand: np.ndarray, rows: np.ndarray) -> bool:
-        """Vectorized dominance over a materialized candidate submatrix."""
-        tol = 1e-12
-        M = (
-            np.asarray(self.A_ub[rows][:, cand].todense())
-            if rows.size
-            else np.empty((0, cand.size))
-        )
-        _, max_act = self._activity_bounds_ub(rows) if rows.size else (None, np.empty(0))
-        b = self.b_ub[rows]
-        c = self.c[cand]
-        maxpos = np.maximum(M, 0.0)  # binary columns: max contribution
-        alive = np.ones(cand.size, dtype=bool)
-        changed = False
-        for jj in range(cand.size):
-            if not alive[jj]:
-                continue
-            col_j = M[:, jj]
-            cond_rows = np.all(col_j[:, None] <= M + tol, axis=0)
-            cond_c = (c[jj] <= c + tol) & (c >= -tol)
-            # Rows where k helps must survive "j in, k out".
-            excl = max_act[:, None] - maxpos[:, jj][:, None] - maxpos + col_j[:, None]
-            cond_drop = np.where(M < 0, excl <= b[:, None] + tol, True).all(axis=0)
-            equal = np.all(np.abs(M - col_j[:, None]) <= tol, axis=0) & (
-                np.abs(c - c[jj]) <= tol
-            )
-            dominated = cond_rows & cond_c & cond_drop & alive
-            dominated[jj] = False
-            # Break exact ties by column order: only the later column drops.
-            dominated &= ~equal | (np.arange(cand.size) > jj)
-            for kk in np.flatnonzero(dominated):
-                self.upper[cand[kk]] = 0.0
-                alive[kk] = False
-                self.stats.dominated_columns += 1
-                changed = True
-        return changed
+    def _dominated_bitset(self, cand: np.ndarray, rows: np.ndarray) -> bool:
+        """Bitset-prefiltered dominance over the candidate columns.
 
-    def _dominated_sparse(self, cand: np.ndarray, rows: np.ndarray) -> bool:
-        """Bitset-prefiltered dominance for catalog-scale candidate sets.
-
-        Implements the same four conditions as the dense engine, in the
-        same ``jj``-ascending order with the same alive-mask semantics,
-        so both engines fix the identical set of columns.  Condition 2
+        Visits dominators ``jj`` in ascending order under an alive mask:
+        a column once fixed neither dominates nor is fixed again, so the
+        fixed set is a pure function of the column order.  Condition 2
         over *all* rows is equivalent to the two-pointer merge over the
         union of supports (rows outside both supports compare 0 <= 0),
         and condition 4's exclusion term collapses to

@@ -24,7 +24,6 @@ def solve_scipy_milp(
     time_limit: float | None = None,
     max_nodes: int | None = None,
     gap: float | None = None,
-    dense: bool = False,
 ) -> Solution:
     """Solve ``model`` with HiGHS via scipy.
 
@@ -32,12 +31,9 @@ def solve_scipy_milp(
     its node limit; when either triggers, the best incumbent (if any) is
     returned with status ``FEASIBLE``.  ``gap`` maps to HiGHS's relative
     MIP gap — an incumbent proven within the gap reports ``OPTIMAL``.
-    ``dense`` compiles the constraint matrices densely instead of CSR —
-    retained for differential testing; identical answers, and subject
-    to the dense cell limit.
     """
     with obs.span("solver.scipy_milp", model=model.name) as sp:
-        solution = _solve(model, time_limit, max_nodes, gap, sp, dense=dense)
+        solution = _solve(model, time_limit, max_nodes, gap, sp)
     obs.counter("solver.solves").inc()
     obs.histogram("solver.solve_seconds").observe(sp.duration)
     return solution
@@ -49,9 +45,8 @@ def _solve(
     max_nodes: int | None,
     gap: float | None,
     sp: obs.Span,
-    dense: bool = False,
 ) -> Solution:
-    form = model.compile(dense=dense)
+    form = model.compile()
     sp.set(variables=int(form.c.size), rows=int(len(form.b_ub) + len(form.b_eq)))
     # Emptiness by rhs length, not A.size: on a CSR matrix .size is the
     # nonzero count, and an all-zero row must still reach the solver.

@@ -87,10 +87,9 @@ def structure_signature(model: MilpModel) -> str:
 def _instance_digest(form: StandardForm) -> str:
     """Digest of one concrete instance (structure *and* numbers).
 
-    Delegates matrix hashing to :func:`~repro.solver.sparse.digest_update`,
-    which deliberately hashes a CSR matrix differently from an
-    equal-valued dense one — LP caches keyed by this digest must never
-    be shared across compile flavors.
+    Delegates hashing to :func:`~repro.solver.sparse.digest_update`:
+    the CSR matrices hash their canonical triple, the vectors their
+    raw bytes.
     """
     h = hashlib.blake2b(digest_size=16)
     for array in (form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq, form.lower, form.upper):

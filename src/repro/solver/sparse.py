@@ -3,7 +3,7 @@
 The formulation-to-solution path (compile -> presolve -> LP relaxation
 -> backend) stores constraint matrices as ``scipy.sparse`` CSR: on
 catalog-scale instances the coefficient matrices are well under 1%
-dense, so the dense ``O(rows x vars)`` standard form was both the
+dense, so a dense ``O(rows x vars)`` standard form would be both the
 compile-time and the memory bottleneck.  This module keeps the small
 amount of CSR plumbing in one place:
 
@@ -32,17 +32,10 @@ __all__ = [
     "csr_from_rows",
     "dense_equivalent_nbytes",
     "digest_update",
-    "is_sparse",
     "matrices_equal",
     "matrix_nbytes",
     "pack_bitset",
-    "to_dense",
 ]
-
-
-def is_sparse(matrix: object) -> bool:
-    """Whether ``matrix`` is a scipy sparse matrix/array."""
-    return sp.issparse(matrix)
 
 
 def csr_from_rows(
@@ -75,60 +68,46 @@ def csr_from_rows(
     return matrix
 
 
-def to_dense(matrix: np.ndarray | sp.spmatrix) -> np.ndarray:
-    """A dense ``float64`` view/copy of ``matrix``."""
-    if sp.issparse(matrix):
-        return np.asarray(matrix.todense(), dtype=np.float64)
-    return np.asarray(matrix, dtype=np.float64)
-
-
 def matrix_nbytes(matrix: np.ndarray | sp.spmatrix) -> int:
-    """Actual payload bytes of a constraint matrix.
+    """Actual payload bytes of a constraint matrix or a dense vector.
 
     CSR cost is ``data + indices + indptr`` — what the matrix really
     occupies — not the dense ``rows x vars x 8`` its shape implies.
+    The ndarray branch serves the 1-D fields of a standard form
+    (``c``, the rhs vectors, the bounds).
     """
     if sp.issparse(matrix):
         return int(matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
     return int(matrix.nbytes)
 
 
-def dense_equivalent_nbytes(matrix: np.ndarray | sp.spmatrix) -> int:
+def dense_equivalent_nbytes(matrix: sp.spmatrix) -> int:
     """Bytes a dense float64 materialization of ``matrix`` would take."""
     rows, cols = matrix.shape
     return int(rows) * int(cols) * 8
 
 
-def matrices_equal(a: np.ndarray | sp.spmatrix, b: np.ndarray | sp.spmatrix) -> bool:
-    """Exact (bitwise-value) equality of two constraint matrices.
+def matrices_equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Exact (bitwise-value) equality of two canonical CSR matrices.
 
-    Two canonical CSR matrices are equal iff their three arrays match;
-    mixed dense/sparse operands compare by densifying the sparse side
-    (correct, and only reachable when a caller mixes compile flavors —
-    the session layer never does on purpose).
+    Two canonical CSR matrices are equal iff their shapes and three
+    arrays match.
     """
-    if a.shape != b.shape:
-        return False
-    a_sparse, b_sparse = sp.issparse(a), sp.issparse(b)
-    if a_sparse and b_sparse:
-        a, b = a.tocsr(), b.tocsr()
-        return (
-            np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-        )
-    if a_sparse or b_sparse:
-        return np.array_equal(to_dense(a), to_dense(b))
-    return np.array_equal(a, b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
 
 
 def digest_update(hasher, matrix: np.ndarray | sp.spmatrix) -> None:
-    """Feed a matrix's exact content into a running hash.
+    """Feed a matrix's or a dense vector's exact content into a running hash.
 
-    Sparse matrices hash their canonical triple; a dense matrix with
-    the same values hashes differently, which is deliberate — the
-    session's LP caches must never be shared across compile flavors,
-    because the backends' float pipelines may differ in the last ulp.
+    A CSR matrix hashes its shape, a ``csr`` tag and its canonical
+    triple; the ndarray branch serves the 1-D fields of a standard
+    form (``c``, the rhs vectors, the bounds), which hash shape and
+    raw bytes.
     """
     hasher.update(str(matrix.shape).encode())
     if sp.issparse(matrix):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import SolverError
 from repro.solver.expressions import VarKind
 from repro.solver.model import MilpModel, ObjectiveSense
-from repro.solver.sparse import matrices_equal, to_dense
+from repro.solver.sparse import matrices_equal
+from tests.solver.dense_oracle import dense_compile, to_dense
 
 
 class TestVariables:
@@ -72,21 +74,20 @@ class TestCompile:
         model.add_constraint(x + 2 * y >= 1)
         form = model.compile()
         assert form.A_ub.shape == (1, 2)
-        assert form.is_sparse
+        assert sp.isspmatrix_csr(form.A_ub)
         np.testing.assert_allclose(to_dense(form.A_ub)[0], [-1.0, -2.0])
         assert form.b_ub[0] == -1.0
 
-    def test_compile_is_sparse_by_default_and_dense_on_request(self):
+    def test_compile_is_csr_and_matches_the_dense_oracle(self):
         model = MilpModel()
         x, y = model.binary("x"), model.binary("y")
         model.add_constraint(x + 2 * y <= 1, name="r")
         model.set_objective(x + y)
-        sparse_form = model.compile()
-        dense_form = model.compile(dense=True)
-        assert sparse_form.is_sparse and not dense_form.is_sparse
-        assert isinstance(dense_form.A_ub, np.ndarray)
-        np.testing.assert_array_equal(to_dense(sparse_form.A_ub), dense_form.A_ub)
-        assert sparse_form.to_dense().A_ub.tolist() == dense_form.A_ub.tolist()
+        form = model.compile()
+        assert sp.isspmatrix_csr(form.A_ub) and sp.isspmatrix_csr(form.A_eq)
+        oracle = dense_compile(model)
+        np.testing.assert_array_equal(to_dense(form.A_ub), oracle.A_ub)
+        np.testing.assert_array_equal(to_dense(form.A_eq), oracle.A_eq)
 
     def test_eq_rows_separate(self):
         model = MilpModel()

@@ -1,26 +1,25 @@
 """Sparse-vs-dense differential suite for the end-to-end solver core.
 
 The non-negotiable contract of the sparse compile path: **bit-identical
-objectives and deployments** against the dense path it replaced.  Over
-50 seeded models this suite pins
+objectives and deployments** against the dense reference implementations
+in :mod:`tests.solver.dense_oracle`.  Over 50 seeded models this suite
+pins
 
 * compile bit-identity — the CSR standard form densifies to exactly the
-  matrix ``compile(dense=True)`` builds, cell for cell, and every
-  vector field matches;
+  matrix :func:`dense_compile` builds from ``model.constraints``, cell
+  for cell, and every vector field matches;
 * LP relaxation identity — HiGHS returns the *same bits* (objective and
   solution vector) whether it is handed the CSR or the dense matrices;
-* presolve lift-back exactness with the dominance rule forced onto the
-  sparse bitset engine, plus dense-engine/sparse-engine agreement on
-  which columns they fix;
+* presolve lift-back exactness under the bitset dominance engine, plus
+  agreement with the dense oracle engine on which columns they fix —
+  on the seeded programs and on the 100-monitor sweep models;
 * parallel branch & bound worker-count invariance (1/2/4) on a sparse
-  catalog model, bit-identical to the serial solver;
-* the dense guard rails: ``compile(dense=True)`` refuses matrices past
-  :data:`~repro.solver.model.MAX_DENSE_CELLS` while the default sparse
-  compile shrugs.
+  catalog model, bit-identical to the serial solver.
 
-The multizone catalog test is the reduction this PR exists for: a
-zone-structured monitor catalog full of near-duplicate placements must
-collapse under the dominated-monitor rule before the solver branches.
+The multizone catalog test is the reduction the sparse engine exists
+for: a zone-structured monitor catalog full of near-duplicate placements
+must collapse under the dominated-monitor rule before the solver
+branches.
 """
 
 from __future__ import annotations
@@ -31,14 +30,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.solver.model as model_mod
-
 # ``repro.solver.__init__`` rebinds the attribute ``presolve`` to the
 # function of the same name, so attribute-style module import would hand
 # back the function; go through importlib for the module itself.
 presolve_mod = importlib.import_module("repro.solver.presolve")
 from repro.casestudy.scaling import synthetic_model
-from repro.errors import SolverError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.problem import MaxUtilityProblem
@@ -53,23 +49,22 @@ from repro.solver import (
 )
 from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.lp import solve_lp
-from repro.solver.model import MAX_DENSE_CELLS
 from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from repro.solver.sparse import (
     csr_from_rows,
     dense_equivalent_nbytes,
     matrices_equal,
     matrix_nbytes,
-    to_dense,
 )
+from tests.solver.dense_oracle import dense_compile, dominated_dense, to_dense
 from tests.solver.test_presolve import random_program
 
 SEEDS = range(50)
 
 
-def force_sparse_dominance(monkeypatch):
-    """Route every dominance round through the sparse bitset engine."""
-    monkeypatch.setattr(presolve_mod, "DOMINANCE_WORK_LIMIT", 0)
+def use_dense_dominance(monkeypatch):
+    """Route every dominance round through the dense oracle engine."""
+    monkeypatch.setattr(presolve_mod._Reducer, "_dominated_bitset", dominated_dense)
 
 
 # -- compile bit-identity --------------------------------------------------
@@ -79,10 +74,9 @@ def force_sparse_dominance(monkeypatch):
 def test_sparse_and_dense_compiles_are_bit_identical(seed):
     model = random_program(seed)
     sparse_form = model.compile()
-    dense_form = model.compile(dense=True)
+    dense_form = dense_compile(model)
 
-    assert sp.issparse(sparse_form.A_ub) and sp.issparse(sparse_form.A_eq)
-    assert sparse_form.is_sparse and not dense_form.is_sparse
+    assert sp.isspmatrix_csr(sparse_form.A_ub) and sp.isspmatrix_csr(sparse_form.A_eq)
     assert np.array_equal(to_dense(sparse_form.A_ub), dense_form.A_ub)
     assert np.array_equal(to_dense(sparse_form.A_eq), dense_form.A_eq)
     for field in ("c", "b_ub", "b_eq", "lower", "upper", "integrality"):
@@ -91,19 +85,22 @@ def test_sparse_and_dense_compiles_are_bit_identical(seed):
         ), field
     assert sparse_form.objective_constant == dense_form.objective_constant
     assert sparse_form.maximize == dense_form.maximize
-    # Both flavors report the same dense-equivalent footprint (the
+    # The dense-equivalent footprint is the oracle's real footprint (the
     # CSR payload itself can exceed it on toy matrices — indptr
     # overhead — which is fine; the win is asymptotic, not universal).
-    assert dense_form.dense_matrix_nbytes == sparse_form.dense_matrix_nbytes
+    assert sparse_form.dense_matrix_nbytes == (
+        dense_form.A_ub.nbytes + dense_form.A_eq.nbytes
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lp_relaxation_is_bit_identical_across_flavors(seed):
     model = random_program(seed)
     s = model.compile()
-    d = model.compile(dense=True)
     from_sparse = solve_lp(s.c, s.A_ub, s.b_ub, s.A_eq, s.b_eq, s.lower, s.upper)
-    from_dense = solve_lp(d.c, d.A_ub, d.b_ub, d.A_eq, d.b_eq, d.lower, d.upper)
+    from_dense = solve_lp(
+        s.c, to_dense(s.A_ub), s.b_ub, to_dense(s.A_eq), s.b_eq, s.lower, s.upper
+    )
     assert from_sparse.status == from_dense.status
     if from_sparse.is_optimal:
         # Same matrix bits in, same HiGHS run out — exact, not approx.
@@ -111,12 +108,11 @@ def test_lp_relaxation_is_bit_identical_across_flavors(seed):
         assert np.array_equal(from_sparse.x, from_dense.x)
 
 
-# -- presolve under the sparse dominance engine ----------------------------
+# -- presolve under the bitset dominance engine ----------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_liftback_is_exact_under_the_sparse_dominance_engine(seed, monkeypatch):
-    force_sparse_dominance(monkeypatch)
+def test_liftback_is_exact_under_the_sparse_dominance_engine(seed):
     model = random_program(seed)
     cold = solve(model, "enumeration")
     if cold.status is SolutionStatus.INFEASIBLE:
@@ -130,18 +126,16 @@ def test_liftback_is_exact_under_the_sparse_dominance_engine(seed, monkeypatch):
     assert set(warm.values) == {v.name for v in model.variables}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dense_and_sparse_dominance_engines_fix_identical_columns(seed, monkeypatch):
-    model = random_program(seed)
-    via_dense = presolve(model)
-
-    force_sparse_dominance(monkeypatch)
+def assert_engines_agree(model, monkeypatch):
+    """Presolve ``model`` under both engines; every outcome must match."""
     via_sparse = presolve(model)
+    with monkeypatch.context() as patch:
+        use_dense_dominance(patch)
+        via_dense = presolve(model)
 
     assert via_dense.status == via_sparse.status
-    assert via_dense.stats.dominated_columns == via_sparse.stats.dominated_columns
-    assert via_dense.stats.columns_after == via_sparse.stats.columns_after
-    assert via_dense.stats.rows_after == via_sparse.stats.rows_after
+    assert via_dense.stats.to_dict() == via_sparse.stats.to_dict()
+    assert via_dense.fixed == via_sparse.fixed
     if via_dense.status is PresolveStatus.REDUCED:
         reduced_dense = via_dense.reduced.compile()
         reduced_sparse = via_sparse.reduced.compile()
@@ -149,12 +143,31 @@ def test_dense_and_sparse_dominance_engines_fix_identical_columns(seed, monkeypa
         assert matrices_equal(reduced_dense.A_eq, reduced_sparse.A_eq)
         assert np.array_equal(reduced_dense.c, reduced_sparse.c)
         assert np.array_equal(reduced_dense.b_ub, reduced_sparse.b_ub)
+        assert np.array_equal(reduced_dense.b_eq, reduced_sparse.b_eq)
+    return via_sparse
 
 
-def test_sparse_engine_prunes_a_handbuilt_dominated_column(monkeypatch):
-    # x1 covers everything x2 does (rows) at lower cost: the sparse
-    # engine must fix x2 to 0 and record a sparse round.
-    force_sparse_dominance(monkeypatch)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dense_and_sparse_dominance_engines_fix_identical_columns(seed, monkeypatch):
+    assert_engines_agree(random_program(seed), monkeypatch)
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.5, 0.9])
+def test_engines_agree_on_the_100_monitor_sweep_models(fraction, monkeypatch):
+    # The sweep_bb_warm family (442 variables): big enough that the
+    # dominance rule fixes many columns, far past the seeded programs.
+    catalog = synthetic_model(assets=30, monitors=100, attacks=50, seed=7)
+    problem = MaxUtilityProblem(
+        catalog, Budget.fraction_of_total(catalog, fraction), UtilityWeights()
+    )
+    milp, _ = problem.build()
+    result = assert_engines_agree(milp, monkeypatch)
+    assert result.stats.dominated_columns > 0
+
+
+def test_sparse_engine_prunes_a_handbuilt_dominated_column():
+    # x1 covers everything x2 does (rows) at lower cost: the bitset
+    # engine must fix x2 to 0 and record a dominance round.
     model = MilpModel("dominated", ObjectiveSense.MINIMIZE)
     x1 = model.binary("x1")
     x2 = model.binary("x2")
@@ -215,7 +228,7 @@ def test_parallel_bb_worker_identity_on_a_sparse_catalog_model():
         catalog, Budget.fraction_of_total(catalog, 0.3), UtilityWeights()
     )
     milp, _ = problem.build()
-    assert milp.compile().is_sparse
+    assert sp.isspmatrix_csr(milp.compile().A_ub)
 
     serial = solve_branch_and_bound(milp)
     answers = [
@@ -230,32 +243,6 @@ def test_parallel_bb_worker_identity_on_a_sparse_catalog_model():
     # deterministic and the merge commutative).
     nodes = {answer.nodes_explored for answer in answers}
     assert len(nodes) == 1
-
-
-# -- dense guard rails -----------------------------------------------------
-
-
-def test_dense_compile_refuses_past_the_cell_limit(monkeypatch):
-    monkeypatch.setattr(model_mod, "MAX_DENSE_CELLS", 100)
-    model = MilpModel("too-big", ObjectiveSense.MINIMIZE)
-    xs = [model.binary(f"x{i}") for i in range(20)]
-    for r in range(10):
-        model.add_constraint(sum(xs[r : r + 3]) <= 2.0, name=f"c{r}")
-    model.set_objective(sum(xs))
-    with pytest.raises(SolverError, match="sparse compile"):
-        model.compile(dense=True)
-    form = model.compile()  # the default sparse path is untouched
-    assert form.is_sparse
-
-
-def test_real_cell_limit_matches_catalog_scale_expectations():
-    # The F14 geometry: the 2000-monitor / 500-attack catalog (6926 x
-    # 8408 standard form) lands past the limit — dense refuses there —
-    # while the 2000-monitor / 300-attack race instance (4166 x 5853)
-    # squeaks under it as the largest dense-completable size the
-    # speedup is measured at.
-    assert 6_926 * 8_408 > MAX_DENSE_CELLS  # 2000m/500a: dense refuses
-    assert 4_166 * 5_853 < MAX_DENSE_CELLS  # 2000m/300a: dense completes
 
 
 # -- csr_from_rows canonical-form unit pins --------------------------------
