@@ -86,9 +86,14 @@ class UtilityWeights:
 def utility(
     model: SystemModel, deployed: Iterable[str], weights: UtilityWeights | None = None
 ) -> float:
-    """The combined utility of a deployment, in ``[0, 1]``."""
+    """The combined utility of a deployment, in ``[0, 1]``.
+
+    Every deployed id must name a monitor of ``model``; an unknown id
+    raises :class:`~repro.errors.UnknownIdError` whatever the weights
+    (as in :func:`utility_breakdown` and :func:`attack_utility`).
+    """
     weights = weights or UtilityWeights()
-    deployed_set = set(deployed)
+    deployed_set = model.known_monitor_ids(deployed)
     value = 0.0
     if weights.coverage:
         value += weights.coverage * overall_coverage(model, deployed_set)
@@ -106,7 +111,7 @@ def utility_breakdown(
 ) -> dict[str, float]:
     """The unweighted component values plus the combined utility."""
     weights = weights or UtilityWeights()
-    deployed_set = set(deployed)
+    deployed_set = model.known_monitor_ids(deployed)
     coverage = overall_coverage(model, deployed_set)
     redundancy = overall_redundancy(model, deployed_set, weights.redundancy_cap)
     richness = overall_richness(model, deployed_set)
@@ -130,7 +135,7 @@ def attack_utility(
 ) -> float:
     """Per-attack utility (before importance weighting), in ``[0, 1]``."""
     weights = weights or UtilityWeights()
-    deployed_set = set(deployed)
+    deployed_set = model.known_monitor_ids(deployed)
     attack = model.attack(attack_id)
     value = 0.0
     if weights.coverage:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MetricError
+from repro.errors import MetricError, UnknownIdError
 from repro.metrics.coverage import overall_coverage
 from repro.metrics.redundancy import overall_redundancy
 from repro.metrics.richness import overall_richness
@@ -107,3 +107,35 @@ class TestAttackUtility:
         for attack_id in toy_model.attacks:
             value = attack_utility(toy_model, ALL, attack_id)
             assert 0.0 <= value <= 1.0
+
+
+WEIGHT_VECTORS = {
+    "default": UtilityWeights(),
+    "coverage_only": UtilityWeights.coverage_only(),
+    "redundancy_only": UtilityWeights(coverage=0.0, redundancy=1.0, richness=0.0),
+    "richness_only": UtilityWeights(coverage=0.0, redundancy=0.0, richness=1.0),
+    "tradeoff": UtilityWeights.tradeoff(0.5),
+}
+
+
+class TestUnknownIds:
+    """Every weight vector rejects an unknown deployed id the same way."""
+
+    @pytest.mark.parametrize("weights", WEIGHT_VECTORS.values(), ids=WEIGHT_VECTORS.keys())
+    @pytest.mark.parametrize("deployed", [["nope"], ["mnet@n1", "nope"]])
+    def test_utility_raises(self, toy_model, weights, deployed):
+        with pytest.raises(UnknownIdError, match="nope"):
+            utility(toy_model, deployed, weights)
+
+    @pytest.mark.parametrize("weights", WEIGHT_VECTORS.values(), ids=WEIGHT_VECTORS.keys())
+    def test_breakdown_raises(self, toy_model, weights):
+        with pytest.raises(UnknownIdError, match="nope"):
+            utility_breakdown(toy_model, ["nope"], weights)
+
+    @pytest.mark.parametrize("weights", WEIGHT_VECTORS.values(), ids=WEIGHT_VECTORS.keys())
+    def test_attack_utility_raises(self, toy_model, weights):
+        with pytest.raises(UnknownIdError, match="nope"):
+            attack_utility(toy_model, ["nope"], "A", weights)
+
+    def test_single_pass_iterable_accepted(self, toy_model):
+        assert utility(toy_model, iter(sorted(ALL))) == utility(toy_model, ALL)

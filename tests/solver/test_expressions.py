@@ -73,6 +73,43 @@ class TestAlgebra:
         with pytest.raises(SolverError):
             x * float("nan")
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_factor_rejected_on_any_expression(self, variables, factor):
+        x, y, _ = variables
+        with pytest.raises(SolverError, match="scale factor"):
+            (2 * x + y + 1) * factor
+        with pytest.raises(SolverError, match="scale factor"):
+            LinearExpression() * factor
+
+    def test_overflow_rejected(self, variables):
+        x, y, _ = variables
+        big = x * 1e308
+        with pytest.raises(SolverError, match="non-finite coefficient"):
+            big * 10.0
+        with pytest.raises(SolverError, match="non-finite coefficient"):
+            big + x * 1e308
+        with pytest.raises(SolverError, match="non-finite expression constant"):
+            (x + 1e308) + 1e308
+        with pytest.raises(SolverError, match="non-finite coefficient"):
+            LinearExpression.sum_of([(x, 1e308), (y, 1.0), (x, 1e308)])
+
+    def test_non_finite_inputs_rejected(self, variables):
+        x, y, _ = variables
+        with pytest.raises(SolverError, match="non-finite coefficient"):
+            LinearExpression({x: 1.0, y: float("inf")})
+        with pytest.raises(SolverError, match="non-finite coefficient"):
+            LinearExpression.sum_of([(x, 1.0), (y, float("nan"))])
+        with pytest.raises(SolverError, match="non-finite expression constant"):
+            LinearExpression({x: 1.0}, float("nan"))
+        with pytest.raises(SolverError, match="non-finite expression constant"):
+            x + float("inf")
+
+    def test_large_finite_terms_whose_sum_overflows_are_valid(self, variables):
+        x, y, z = variables
+        expr = x * 1e308 + y * 1e308 + z * 1e308 + 1e308
+        assert expr.terms == {x: 1e308, y: 1e308, z: 1e308}
+        assert expr.constant == 1e308
+
     def test_evaluate(self, variables):
         x, y, _ = variables
         expr = 2 * x + 3 * y + 1
