@@ -95,14 +95,12 @@ class EvaluationEngine:
             inv = np.where(capturable > 0, 1.0 / np.maximum(capturable, 1), 0.0)
         self._inv_capturable = inv
 
-    def _field_mask(self, model: SystemModel, monitor_id: str, event_index: int) -> np.ndarray:
-        event_id = self.event_ids[event_index]
+    def _field_mask(self, fields: frozenset[str], event_index: int) -> np.ndarray:
         bits = self._field_bits[event_index]
         mask = np.zeros(self.n_words, dtype=np.uint64)
-        for data_type_id in model.evidencing_data_types(monitor_id, event_id):
-            for field in model.evidence_fields(data_type_id, event_id):
-                bit = bits[field]
-                mask[bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
+        for field in fields:
+            bit = bits[field]
+            mask[bit // 64] |= np.uint64(1) << np.uint64(bit % 64)
         return mask
 
     def _build_csr(self, model: SystemModel) -> None:
@@ -117,12 +115,13 @@ class EvaluationEngine:
         prov_fields: list[np.ndarray] = []
         for i, event_id in enumerate(self.event_ids):
             providers = model.monitors_for_event(event_id)
+            fields_of = model.provider_fields(event_id)
             for monitor_id in sorted(providers):
                 weight = providers[monitor_id]
                 prov_monitor.append(self._midx[monitor_id])
                 prov_weight.append(weight)
                 prov_miss.append(1.0 - weight * quality[monitor_id])
-                prov_fields.append(self._field_mask(model, monitor_id, i))
+                prov_fields.append(self._field_mask(fields_of[monitor_id], i))
             indptr[i + 1] = len(prov_monitor)
         self._indptr = indptr
         self._prov_monitor = np.asarray(prov_monitor, dtype=np.int64)
