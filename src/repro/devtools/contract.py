@@ -145,6 +145,7 @@ HOT_PATHS: dict[str, tuple[str, ...]] = {
     "repro.runtime.parallel": ("parallel_map",),
     "repro.solver.model": ("MilpModel.compile",),
     "repro.solver.scipy_backend": ("solve_scipy_milp",),
+    "repro.solver.lp": ("LpRelaxation.solve",),
     "repro.solver.branch_and_bound": ("solve_branch_and_bound",),
     "repro.solver.parallel_bb": ("solve_parallel_branch_and_bound",),
     "repro.solver.presolve": ("presolve",),

@@ -8,7 +8,8 @@ which works well on the 0/1 covering structures this library generates.
 
 This backend exists so the reproduction is self-contained — the paper's
 methodology relies on an exact solver, and this one proves optimality
-without any dependency beyond scipy's LP.  For large instances prefer
+without any dependency beyond the HiGHS LP solver scipy ships
+(:mod:`repro.solver.lp`).  For large instances prefer
 the HiGHS backend (:mod:`repro.solver.scipy_backend`); experiment F7
 compares the two.
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SolverError, UnboundedError
-from repro.solver.lp import LpResult, solve_lp
+from repro.solver.lp import LpRelaxation, LpResult
 from repro.solver.model import MilpModel, Solution, SolutionStatus, StandardForm
 
 __all__ = ["solve_branch_and_bound"]
@@ -111,7 +112,7 @@ def _seed_incumbent(
 
 
 def _relax(
-    form: StandardForm,
+    relaxation: LpRelaxation,
     lower: np.ndarray,
     upper: np.ndarray,
     cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
@@ -124,14 +125,14 @@ def _relax(
     instance digest for exactly this reason.
     """
     if cache is None:
-        return solve_lp(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq, lower, upper)
+        return relaxation.solve(lower, upper)
     key = (lower.tobytes(), upper.tobytes())
     hit = cache.get(key)
     if hit is not None:
         obs.counter("solver.lp_cache.hits").inc()
         return hit
     obs.counter("solver.lp_cache.misses").inc()
-    result = solve_lp(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq, lower, upper)
+    result = relaxation.solve(lower, upper)
     cache[key] = result
     return result
 
@@ -140,6 +141,7 @@ def _relax(
 class _Search:
     """A best-first search in progress over one compiled form.
 
+    ``relaxation`` is the form's LP relaxation, built once per search.
     Minimization convention throughout: ``incumbent_obj`` is ``+inf``
     until an incumbent exists, and ``bound_floor`` is ``-inf`` unless a
     proven dual bound was supplied.  Heap entries are ``(LP bound,
@@ -148,6 +150,7 @@ class _Search:
     """
 
     form: StandardForm
+    relaxation: LpRelaxation
     incumbent_obj: float = float("inf")
     incumbent_x: np.ndarray | None = None
     bound_floor: float = float("-inf")
@@ -172,12 +175,12 @@ def _root(
     Returns a search holding just the root node, or None when the root
     relaxation is infeasible; an unbounded relaxation raises.
     """
-    root = _relax(form, form.lower, form.upper, lp_cache)
+    search = _Search(form, LpRelaxation(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq))
+    root = _relax(search.relaxation, form.lower, form.upper, lp_cache)
     if root.status == "infeasible":
         return None
     if root.status == "unbounded":
         raise UnboundedError(f"model {model.name!r} has an unbounded LP relaxation")
-    search = _Search(form)
     if warm_start is not None:
         search.incumbent_x, search.incumbent_obj = _seed_incumbent(model, form, warm_start)
     # A proven dual bound from a looser sibling instance tightens every
@@ -226,7 +229,7 @@ def _explore(
         if search.nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
             return "limit"
 
-        relaxation = _relax(form, lower, upper, lp_cache)
+        relaxation = _relax(search.relaxation, lower, upper, lp_cache)
         if not relaxation.is_optimal:
             continue  # infeasible subtree
         if relaxation.objective >= search.incumbent_obj - 1e-12:

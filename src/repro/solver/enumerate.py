@@ -14,8 +14,8 @@ import itertools
 
 import numpy as np
 
-from repro.errors import SolverError
-from repro.solver.lp import solve_lp
+from repro.errors import SolverError, UnboundedError
+from repro.solver.lp import LpRelaxation
 from repro.solver.model import MilpModel, Solution, SolutionStatus
 
 __all__ = ["solve_by_enumeration", "MAX_INTEGER_VARIABLES"]
@@ -25,7 +25,11 @@ MAX_INTEGER_VARIABLES = 20
 
 
 def solve_by_enumeration(model: MilpModel) -> Solution:
-    """Brute-force the integral variables; LP-optimize the rest per leaf."""
+    """Brute-force the integral variables; LP-optimize the rest per leaf.
+
+    An unbounded leaf LP makes the whole MILP unbounded: raises
+    :class:`~repro.errors.UnboundedError`, as branch and bound does.
+    """
     form = model.compile()
     integral_indices = np.flatnonzero(form.integrality)
     if integral_indices.size > MAX_INTEGER_VARIABLES:
@@ -43,6 +47,7 @@ def solve_by_enumeration(model: MilpModel) -> Solution:
             )
         domains.append(range(int(np.ceil(lo)), int(np.floor(hi)) + 1))
 
+    relaxation = LpRelaxation(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq)
     names = [v.name for v in model.variables]
     best_obj = float("inf")  # minimization convention
     best_x: np.ndarray | None = None
@@ -54,7 +59,9 @@ def solve_by_enumeration(model: MilpModel) -> Solution:
         upper = form.upper.copy()
         for idx, value in zip(integral_indices, assignment):
             lower[idx] = upper[idx] = float(value)
-        result = solve_lp(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq, lower, upper)
+        result = relaxation.solve(lower, upper)
+        if result.status == "unbounded":
+            raise UnboundedError(f"model {model.name!r} is unbounded")
         if result.is_optimal and result.objective < best_obj:
             best_obj = result.objective
             best_x = result.x

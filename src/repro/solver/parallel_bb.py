@@ -70,7 +70,7 @@ from repro.solver.branch_and_bound import (
     _Search,
     _solution,
 )
-from repro.solver.lp import LpResult
+from repro.solver.lp import LpRelaxation, LpResult
 from repro.solver.model import MilpModel, Solution, StandardForm
 
 __all__ = ["DEFAULT_SUBTREES", "solve_parallel_branch_and_bound"]
@@ -219,7 +219,8 @@ def _run_subtree(task: _SubtreeTask) -> _SubtreeResult:
     if task.plan is not None:
         task.plan.fire(f"solver.parallel_bb.subtree[{task.subtree}]")
     form = task.form if isinstance(task.form, StandardForm) else _attach_form(task.form)
-    search = _Search(form, task.incumbent_obj, task.incumbent_x, task.bound_floor)
+    relaxation = LpRelaxation(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq)
+    search = _Search(form, relaxation, task.incumbent_obj, task.incumbent_x, task.bound_floor)
     # Seed the heap with the node exactly as it sat in the phase-1
     # frontier — same bound, so the first gap check matches what the
     # serial loop would have computed on popping it.

@@ -112,6 +112,19 @@ class TestBackendSpecifics:
         with pytest.raises(UnboundedError):
             solve(model, "branch-and-bound")
 
+    def test_enumeration_raises_on_unbounded_milp(self):
+        # A leaf LP that is unbounded makes the MILP unbounded; it is not
+        # an infeasible leaf to skip.
+        model = MilpModel(sense=ObjectiveSense.MAXIMIZE)
+        x = model.binary("x")
+        y = model.continuous("y", 0, float("inf"))
+        model.add_constraint(x <= 1)
+        model.set_objective(x + y)
+        with pytest.raises(UnboundedError):
+            solve(model, "enumeration")
+        with pytest.raises(UnboundedError):
+            solve(model, "branch-and-bound")
+
     def test_enumeration_refuses_large_models(self):
         model = MilpModel()
         x = [model.binary(f"x{i}") for i in range(MAX_INTEGER_VARIABLES + 1)]
