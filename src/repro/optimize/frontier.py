@@ -18,6 +18,7 @@ like", with proof of completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro import obs
 from repro.core.model import SystemModel
@@ -26,8 +27,9 @@ from repro.metrics.utility import UtilityWeights
 from repro.optimize.deployment import Deployment
 from repro.optimize.family import ProblemFamily
 from repro.optimize.formulation import FormulationBuilder
+from repro.optimize.problem import _dispatch
 from repro.runtime.cache import cached_utility
-from repro.solver import SolveSession, solve
+from repro.solver import SolveSession
 from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
 
 __all__ = ["FrontierPoint", "exact_frontier"]
@@ -43,39 +45,18 @@ class FrontierPoint:
     solve_seconds: float
 
 
-def _dispatch(
-    milp: MilpModel,
-    backend: str,
-    time_limit: float | None,
-    session: SolveSession | None,
-    max_nodes: int | None = None,
-    gap: float | None = None,
-    family_key: str | None = None,
-    bb_workers: int | None = None,
-):
-    if session is not None:
-        # The session carries its own bb_workers (set at construction).
-        return session.solve(
-            milp, time_limit=time_limit, max_nodes=max_nodes, gap=gap, family_key=family_key
-        )
-    return solve(
-        milp, backend, time_limit=time_limit, max_nodes=max_nodes, gap=gap, bb_workers=bb_workers
-    )
-
-
 def _solve_at_cost_cap(
     model: SystemModel,
     weights: UtilityWeights,
     cost_cap: float | None,
-    backend: str,
-    time_limit: float | None,
-    session: SolveSession | None = None,
-    max_nodes: int | None = None,
-    gap: float | None = None,
-    family: ProblemFamily | None = None,
-    bb_workers: int | None = None,
+    family: ProblemFamily | None,
+    **solve_args: Any,
 ) -> tuple[frozenset[str], float] | None:
-    """Max-utility deployment with scalar cost <= cap; None if infeasible."""
+    """Max-utility deployment with scalar cost <= cap; None if infeasible.
+
+    ``solve_args`` (backend, session and limits) go to the shared
+    dispatch, as in :func:`_cheapest_at_utility`.
+    """
 
     def build_core() -> tuple[MilpModel, FormulationBuilder]:
         milp = MilpModel(f"frontier[{model.name}]", ObjectiveSense.MAXIMIZE)
@@ -91,7 +72,7 @@ def _solve_at_cost_cap(
         family_key = None
     if cost_cap is not None:
         milp.add_constraint(builder.cost_expression() <= cost_cap, name="cost_cap")
-    solution = _dispatch(milp, backend, time_limit, session, max_nodes, gap, family_key, bb_workers)
+    solution = _dispatch(milp, family_key=family_key, **solve_args)
     if solution.status is SolutionStatus.INFEASIBLE:
         return None
     selected = builder.selected_ids(solution.values)
@@ -102,13 +83,8 @@ def _cheapest_at_utility(
     model: SystemModel,
     weights: UtilityWeights,
     utility_floor: float,
-    backend: str,
-    time_limit: float | None,
-    session: SolveSession | None = None,
-    max_nodes: int | None = None,
-    gap: float | None = None,
-    family: ProblemFamily | None = None,
-    bb_workers: int | None = None,
+    family: ProblemFamily | None,
+    **solve_args: Any,
 ) -> frozenset[str]:
     """Cheapest deployment achieving at least ``utility_floor``.
 
@@ -136,7 +112,7 @@ def _cheapest_at_utility(
     milp.add_constraint(
         builder.utility_expression(weights) >= utility_floor, name="utility_floor"
     )
-    solution = _dispatch(milp, backend, time_limit, session, max_nodes, gap, family_key, bb_workers)
+    solution = _dispatch(milp, family_key=family_key, **solve_args)
     if solution.status is SolutionStatus.INFEASIBLE:
         raise OptimizationError(
             f"internal inconsistency: utility floor {utility_floor} became infeasible"
@@ -207,24 +183,21 @@ def exact_frontier(
     # The warm path also shares one formulation core per problem shape:
     # only the cost-cap / utility-floor rows are rebuilt per iteration.
     family = ProblemFamily(model, weights) if session is not None else None
+    solve_args = dict(
+        backend=backend,
+        session=session,
+        time_limit=time_limit,
+        max_nodes=max_nodes,
+        gap=gap,
+        bb_workers=bb_workers,
+    )
     points: list[FrontierPoint] = []
     cost_cap: float | None = None  # start unconstrained: the max-utility end
 
     with obs.span("optimize.exact_frontier", backend=backend) as frontier_span:
         for index in range(max_points):
             with obs.span("frontier.point", i=index) as sp:
-                outcome = _solve_at_cost_cap(
-                    model,
-                    weights,
-                    cost_cap,
-                    backend,
-                    time_limit,
-                    session,
-                    max_nodes,
-                    gap,
-                    family,
-                    bb_workers,
-                )
+                outcome = _solve_at_cost_cap(model, weights, cost_cap, family, **solve_args)
                 if outcome is None:
                     break  # cap below zero spend with forced cost: nothing feasible
                 _, achieved = outcome
@@ -236,16 +209,7 @@ def exact_frontier(
                     break
                 # Trim slack spend: cheapest deployment at this utility level.
                 trimmed = _cheapest_at_utility(
-                    model,
-                    weights,
-                    achieved - 1e-9,
-                    backend,
-                    time_limit,
-                    session,
-                    max_nodes,
-                    gap,
-                    family,
-                    bb_workers,
+                    model, weights, achieved - 1e-9, family, **solve_args
                 )
                 trimmed_cost = model.deployment_cost(trimmed).scalarize()
             points.append(

@@ -174,7 +174,12 @@ def budget_sweep(
         )
     if session is None and presolve and serial:
         session = SolveSession(
-            backend, presolve=True, time_limit=time_limit, max_nodes=max_nodes, gap=gap
+            backend,
+            presolve=True,
+            time_limit=time_limit,
+            max_nodes=max_nodes,
+            gap=gap,
+            bb_workers=bb_workers,
         )
     # A session implies a serial sweep, so the points can also share one
     # formulation core: only the budget rows are rebuilt per point.

@@ -17,6 +17,7 @@ re-evaluated with the reference metrics.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from dataclasses import replace
 
 from repro import obs
 from repro.core.model import SystemModel
@@ -27,9 +28,79 @@ from repro.optimize.deployment import Deployment, OptimizationResult
 from repro.optimize.family import ProblemFamily
 from repro.optimize.formulation import FormulationBuilder
 from repro.solver import DEFAULT_CHAIN, SolveSession, solve, solve_with_fallback
-from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
+from repro.solver.model import MilpModel, ObjectiveSense, Solution, SolutionStatus
 
 __all__ = ["MaxUtilityProblem", "MinCostProblem"]
+
+
+def _dispatch(
+    milp: MilpModel,
+    backend: str,
+    *,
+    session: SolveSession | None = None,
+    family_key: str | None = None,
+    time_limit: float | None = None,
+    max_nodes: int | None = None,
+    gap: float | None = None,
+    presolve: bool = False,
+    bb_workers: int | None = None,
+) -> Solution:
+    """The one road from a built MILP to a backend.
+
+    A ``session`` answers when given: it carries its own backend,
+    presolve setting and ``bb_workers``, and ``family_key`` names the
+    warm-start family.  Otherwise :func:`repro.solver.solve` runs
+    ``backend`` cold.
+    """
+    limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
+    if session is not None:
+        return session.solve(milp, family_key=family_key, **limits)
+    return solve(milp, backend, presolve=presolve, bb_workers=bb_workers, **limits)
+
+
+def _selection(builder: FormulationBuilder, solution: Solution, infeasible: str) -> frozenset[str]:
+    """The monitor ids a solution selects.
+
+    Raises :class:`~repro.errors.InfeasibleError` with the caller's
+    ``infeasible`` message when the backend (or presolve) proved the
+    MILP infeasible.
+    """
+    if solution.status is SolutionStatus.INFEASIBLE:
+        raise InfeasibleError(infeasible)
+    return builder.selected_ids(solution.values)
+
+
+def _assemble(
+    model: SystemModel,
+    solution: Solution,
+    selected: frozenset[str],
+    seconds: float,
+    *,
+    prefix: str,
+    achieved: float,
+    milp: MilpModel | None = None,
+    **extra: float,
+) -> OptimizationResult:
+    """The deployment result of one exact solve.
+
+    The method reads ``"{prefix}/{backend}"`` and ``achieved`` is the
+    caller's utility.  When ``milp`` is given, its size (``variables``,
+    ``constraints``) leads the stats; ``extra`` keys follow in order.
+    """
+    stats: dict[str, float] = {}
+    if milp is not None:
+        stats["variables"] = float(milp.num_variables)
+        stats["constraints"] = float(milp.num_constraints)
+    stats.update(extra)
+    return OptimizationResult(
+        deployment=Deployment.of(model, selected),
+        objective=solution.objective,
+        utility=achieved,
+        solve_seconds=seconds,
+        method=f"{prefix}/{solution.backend}",
+        optimal=solution.is_optimal,
+        stats=stats,
+    )
 
 
 class MaxUtilityProblem:
@@ -143,48 +214,46 @@ class MaxUtilityProblem:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
             sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
-            if session is not None:
-                solution = session.solve(
-                    milp,
-                    time_limit=time_limit,
-                    max_nodes=max_nodes,
-                    gap=gap,
-                    family_key=(
-                        self.family.session_key("max-utility")
-                        if self.family is not None
-                        else None
-                    ),
-                )
-            else:
-                solution = solve(
-                    milp,
-                    backend,
-                    time_limit=time_limit,
-                    max_nodes=max_nodes,
-                    gap=gap,
-                    presolve=presolve,
-                    bb_workers=bb_workers,
-                )
-        obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleError(
-                f"no deployment fits the budget {dict(self.budget.limits)!r} "
-                f"(forced monitors: {sorted(self.forced_monitors)})"
+            family_key = None if self.family is None else self.family.session_key("max-utility")
+            solution = _dispatch(
+                milp,
+                backend,
+                session=session,
+                family_key=family_key,
+                time_limit=time_limit,
+                max_nodes=max_nodes,
+                gap=gap,
+                presolve=presolve,
+                bb_workers=bb_workers,
             )
-        selected = builder.selected_ids(solution.values)
-        deployment = Deployment.of(self.model, selected)
-        return OptimizationResult(
-            deployment=deployment,
-            objective=solution.objective,
-            utility=utility(self.model, selected, self.weights),
-            solve_seconds=sp.duration,
-            method=f"ilp/{solution.backend}",
-            optimal=solution.is_optimal,
-            stats={
-                "variables": float(milp.num_variables),
-                "constraints": float(milp.num_constraints),
-                "nodes": float(solution.nodes_explored),
-            },
+        obs.histogram("optimize.solve_seconds").observe(sp.duration)
+        return self._result(milp, builder, solution, sp.duration)
+
+    def _result(
+        self,
+        milp: MilpModel,
+        builder: FormulationBuilder,
+        solution: Solution,
+        seconds: float,
+        **extra: float,
+    ) -> OptimizationResult:
+        """The result of a solved ILP, for :meth:`solve` and the fallback path."""
+        selected = _selection(
+            builder,
+            solution,
+            f"no deployment fits the budget {dict(self.budget.limits)!r} "
+            f"(forced monitors: {sorted(self.forced_monitors)})",
+        )
+        return _assemble(
+            self.model,
+            solution,
+            selected,
+            seconds,
+            prefix="ilp",
+            achieved=utility(self.model, selected, self.weights),
+            milp=milp,
+            nodes=float(solution.nodes_explored),
+            **extra,
         )
 
     def solve_with_fallback(
@@ -249,43 +318,22 @@ class MaxUtilityProblem:
                     forced_monitors=self.forced_monitors,
                 )
                 sp.set(answered="greedy")
-                stats = dict(result.stats)
-                stats["fallback_attempts"] = float(len(backends))
-                stats["fallback_failures"] = float(len(backends))
-                return OptimizationResult(
-                    deployment=result.deployment,
-                    objective=result.objective,
-                    utility=result.utility,
-                    solve_seconds=result.solve_seconds,
+                failed = float(len(backends))
+                return replace(
+                    result,
                     method="greedy-fallback",
                     optimal=False,
-                    stats=stats,
-                    selection_order=result.selection_order,
+                    stats={**result.stats, "fallback_attempts": failed, "fallback_failures": failed},
                 )
             sp.set(answered=outcome.backend)
-        solution = outcome.solution
         obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleError(
-                f"no deployment fits the budget {dict(self.budget.limits)!r} "
-                f"(forced monitors: {sorted(self.forced_monitors)})"
-            )
-        selected = builder.selected_ids(solution.values)
-        deployment = Deployment.of(self.model, selected)
-        return OptimizationResult(
-            deployment=deployment,
-            objective=solution.objective,
-            utility=utility(self.model, selected, self.weights),
-            solve_seconds=sp.duration,
-            method=f"ilp/{solution.backend}",
-            optimal=solution.is_optimal,
-            stats={
-                "variables": float(milp.num_variables),
-                "constraints": float(milp.num_constraints),
-                "nodes": float(solution.nodes_explored),
-                "fallback_attempts": float(len(outcome.attempts)),
-                "fallback_failures": float(len(outcome.failures)),
-            },
+        return self._result(
+            milp,
+            builder,
+            outcome.solution,
+            sp.duration,
+            fallback_attempts=float(len(outcome.attempts)),
+            fallback_failures=float(len(outcome.failures)),
         )
 
 
@@ -433,39 +481,31 @@ class MinCostProblem:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
             sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
-            if session is not None:
-                solution = session.solve(
-                    milp, time_limit=time_limit, max_nodes=max_nodes, gap=gap
-                )
-            else:
-                solution = solve(
-                    milp,
-                    backend,
-                    time_limit=time_limit,
-                    max_nodes=max_nodes,
-                    gap=gap,
-                    presolve=presolve,
-                    bb_workers=bb_workers,
-                )
-        obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleError(
-                "security requirements are unattainable with the available monitors "
-                f"(min_utility={self.min_utility!r}, "
-                f"floors={self.min_attack_coverage!r}, fully_cover={self.fully_cover!r})"
+            solution = _dispatch(
+                milp,
+                backend,
+                session=session,
+                time_limit=time_limit,
+                max_nodes=max_nodes,
+                gap=gap,
+                presolve=presolve,
+                bb_workers=bb_workers,
             )
-        selected = builder.selected_ids(solution.values)
-        deployment = Deployment.of(self.model, selected)
-        return OptimizationResult(
-            deployment=deployment,
-            objective=solution.objective,
-            utility=utility(self.model, selected, self.weights),
-            solve_seconds=sp.duration,
-            method=f"ilp/{solution.backend}",
-            optimal=solution.is_optimal,
-            stats={
-                "variables": float(milp.num_variables),
-                "constraints": float(milp.num_constraints),
-                "nodes": float(solution.nodes_explored),
-            },
+        obs.histogram("optimize.solve_seconds").observe(sp.duration)
+        selected = _selection(
+            builder,
+            solution,
+            "security requirements are unattainable with the available monitors "
+            f"(min_utility={self.min_utility!r}, "
+            f"floors={self.min_attack_coverage!r}, fully_cover={self.fully_cover!r})",
+        )
+        return _assemble(
+            self.model,
+            solution,
+            selected,
+            sp.duration,
+            prefix="ilp",
+            achieved=utility(self.model, selected, self.weights),
+            milp=milp,
+            nodes=float(solution.nodes_explored),
         )

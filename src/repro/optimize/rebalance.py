@@ -25,14 +25,14 @@ from collections.abc import Iterable
 
 from repro import obs
 from repro.core.model import SystemModel
-from repro.errors import InfeasibleError, OptimizationError
+from repro.errors import OptimizationError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights, utility
-from repro.optimize.deployment import Deployment, OptimizationResult
+from repro.optimize.deployment import OptimizationResult
 from repro.optimize.formulation import FormulationBuilder
-from repro.solver import solve
+from repro.optimize.problem import _assemble, _dispatch, _selection
 from repro.solver.expressions import LinearExpression
-from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
+from repro.solver.model import MilpModel, ObjectiveSense
 
 __all__ = ["RebalanceProblem"]
 
@@ -99,29 +99,22 @@ class RebalanceProblem:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
             sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
-            solution = solve(milp, backend, time_limit=time_limit)
+            solution = _dispatch(milp, backend, time_limit=time_limit)
         obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleError("no deployment fits the budget")
-        selected = builder.selected_ids(solution.values)
+        selected = _selection(builder, solution, "no deployment fits the budget")
         removed = self.current - selected
         added = selected - self.current
-        achieved = utility(self.model, selected, self.weights)
-        return OptimizationResult(
-            deployment=Deployment.of(self.model, selected),
-            objective=solution.objective,
-            utility=achieved,
-            solve_seconds=sp.duration,
-            method=f"rebalance-ilp/{solution.backend}",
-            optimal=solution.is_optimal,
-            stats={
-                "variables": float(milp.num_variables),
-                "constraints": float(milp.num_constraints),
-                "removed": float(len(removed)),
-                "added": float(len(added)),
-                "change_penalty_paid": (
-                    self.removal_penalty * len(removed)
-                    + self.addition_penalty * len(added)
-                ),
-            },
+        return _assemble(
+            self.model,
+            solution,
+            selected,
+            sp.duration,
+            prefix="rebalance-ilp",
+            achieved=utility(self.model, selected, self.weights),
+            milp=milp,
+            removed=float(len(removed)),
+            added=float(len(added)),
+            change_penalty_paid=(
+                self.removal_penalty * len(removed) + self.addition_penalty * len(added)
+            ),
         )

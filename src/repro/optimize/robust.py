@@ -25,19 +25,21 @@ so they fan out over :func:`~repro.runtime.parallel.parallel_map`.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from dataclasses import replace
 
 from repro import obs
 from repro.core.model import SystemModel
-from repro.errors import InfeasibleError, OptimizationError
+from repro.errors import OptimizationError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.deployment import Deployment, OptimizationResult
 from repro.optimize.formulation import FormulationBuilder, event_weights
+from repro.optimize.problem import _assemble, _dispatch, _selection
 from repro.runtime.parallel import parallel_map, resolve_workers
 from repro.runtime.pool import PersistentPool
 from repro.runtime.resilience import MapReport, RetryPolicy
-from repro.solver import SolveSession, solve
-from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
+from repro.solver import SolveSession
+from repro.solver.model import MilpModel, ObjectiveSense
 
 __all__ = [
     "ImportanceScenario",
@@ -146,22 +148,21 @@ def _scenario_optimum_job(
             )
         )
         builder.add_budget_constraints(budget)
-        if session is not None:
-            solution = session.solve(milp, time_limit=time_limit)
-        else:
-            solution = solve(milp, backend, time_limit=time_limit, presolve=presolve)
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleError(f"no deployment fits the budget in scenario {scenario.name!r}")
-        selected = builder.selected_ids(solution.values)
+        solution = _dispatch(
+            milp, backend, session=session, time_limit=time_limit, presolve=presolve
+        )
+        selected = _selection(
+            builder, solution, f"no deployment fits the budget in scenario {scenario.name!r}"
+        )
         achieved = scenario_utility(model, selected, scenario, weights)
-    return OptimizationResult(
-        deployment=Deployment.of(model, selected),
-        objective=solution.objective,
-        utility=achieved,
-        solve_seconds=sp.duration,
-        method=f"scenario-ilp/{solution.backend}",
-        optimal=solution.is_optimal,
-        stats={"scenario_utility": achieved},
+    return _assemble(
+        model,
+        solution,
+        selected,
+        sp.duration,
+        prefix="scenario-ilp",
+        achieved=achieved,
+        scenario_utility=achieved,
     )
 
 
@@ -227,20 +228,12 @@ def per_scenario_optima(
     if report.skipped:
         dropped = set(report.skipped)
         names = [name for index, name in enumerate(names) if index not in dropped]
-    rebound = []
-    for result in results:
-        if result.deployment.model is not model:
-            result = OptimizationResult(
-                deployment=Deployment.of(model, result.deployment.monitor_ids),
-                objective=result.objective,
-                utility=result.utility,
-                solve_seconds=result.solve_seconds,
-                method=result.method,
-                optimal=result.optimal,
-                stats=result.stats,
-                selection_order=result.selection_order,
-            )
-        rebound.append(result)
+    rebound = [
+        result
+        if result.deployment.model is model
+        else replace(result, deployment=Deployment.of(model, result.deployment.monitor_ids))
+        for result in results
+    ]
     return dict(zip(names, rebound))
 
 
@@ -302,27 +295,21 @@ class RobustMaxUtilityProblem:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
             sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
-            solution = solve(milp, backend, time_limit=time_limit, presolve=presolve)
+            solution = _dispatch(milp, backend, time_limit=time_limit, presolve=presolve)
         obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleError("no deployment fits the budget")
-        selected = builder.selected_ids(solution.values)
+        selected = _selection(builder, solution, "no deployment fits the budget")
         per_scenario = {
             f"utility[{s.name}]": scenario_utility(self.model, selected, s, self.weights)
             for s in self.scenarios
         }
-        worst = min(per_scenario.values())
-        return OptimizationResult(
-            deployment=Deployment.of(self.model, selected),
-            objective=solution.objective,
-            utility=worst,
-            solve_seconds=sp.duration,
-            method=f"robust-ilp/{solution.backend}",
-            optimal=solution.is_optimal,
-            stats={
-                "variables": float(milp.num_variables),
-                "constraints": float(milp.num_constraints),
-                "scenarios": float(len(self.scenarios)),
-                **per_scenario,
-            },
+        return _assemble(
+            self.model,
+            solution,
+            selected,
+            sp.duration,
+            prefix="robust-ilp",
+            achieved=min(per_scenario.values()),
+            milp=milp,
+            scenarios=float(len(self.scenarios)),
+            **per_scenario,
         )

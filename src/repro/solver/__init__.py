@@ -18,6 +18,8 @@ solver.  This package provides one that is self-contained:
 :func:`solve` dispatches by backend name.
 """
 
+from collections.abc import Mapping, MutableMapping
+
 from repro.errors import SolverError
 from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.enumerate import solve_by_enumeration
@@ -133,9 +135,7 @@ def solve(
         semantics knob.
     """
     if presolve:
-        from repro.solver.presolve import solve_presolved as _solve_presolved
-
-        return _solve_presolved(
+        return solve_presolved(
             model,
             backend,
             time_limit=time_limit,
@@ -146,16 +146,9 @@ def solve(
     if backend == "scipy":
         return solve_scipy_milp(model, time_limit=time_limit, max_nodes=max_nodes, gap=gap)
     if backend in ("branch-and-bound", "parallel-bb"):
-        kwargs: dict[str, float] = {}
-        if max_nodes is not None:
-            kwargs["max_nodes"] = max_nodes
-        if gap is not None:
-            kwargs["gap"] = gap
-        if backend == "parallel-bb" or (bb_workers is not None and bb_workers > 1):
-            return solve_parallel_branch_and_bound(
-                model, time_limit=time_limit, workers=bb_workers, **kwargs
-            )
-        return solve_branch_and_bound(model, time_limit=time_limit, **kwargs)
+        return _branch_and_bound(
+            model, backend, bb_workers=bb_workers, time_limit=time_limit, max_nodes=max_nodes, gap=gap
+        )
     if backend == "enumeration":
         return solve_by_enumeration(model)
     if backend == "fallback":
@@ -168,3 +161,34 @@ def solve(
             bb_workers=bb_workers,
         ).solution
     raise SolverError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+
+
+def _branch_and_bound(
+    model: MilpModel,
+    backend: str,
+    *,
+    bb_workers: int | None,
+    time_limit: float | None,
+    max_nodes: int | None,
+    gap: float | None,
+    warm_start: Mapping[str, float] | None = None,
+    known_bound: float | None = None,
+    lp_cache: MutableMapping | None = None,
+) -> Solution:
+    """Run a branch-and-bound backend: the one serial-vs-parallel choice.
+
+    ``"parallel-bb"``, or ``"branch-and-bound"`` with ``bb_workers``
+    above 1, takes the parallel solver; ``None`` limits keep the
+    solvers' own defaults.  :func:`solve` calls this cold, and
+    :class:`SolveSession` with its warm start, dual bound and LP cache.
+    """
+    options: dict[str, object] = dict(
+        time_limit=time_limit, warm_start=warm_start, known_bound=known_bound, lp_cache=lp_cache
+    )
+    if max_nodes is not None:
+        options["max_nodes"] = max_nodes
+    if gap is not None:
+        options["gap"] = gap
+    if backend == "parallel-bb" or (bb_workers is not None and bb_workers > 1):
+        return solve_parallel_branch_and_bound(model, workers=bb_workers, **options)
+    return solve_branch_and_bound(model, **options)

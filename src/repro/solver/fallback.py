@@ -121,7 +121,6 @@ def solve_with_fallback(
         Immediately — no backend disagrees about unboundedness.
     """
     from repro.solver import solve  # local import: repro.solver re-exports this module
-    from repro.solver.presolve import PresolveStatus
     from repro.solver.presolve import presolve as run_presolve
 
     if not backends:
@@ -131,19 +130,9 @@ def solve_with_fallback(
     target = model
     if presolve:
         pre = run_presolve(model)
-        if pre.status is PresolveStatus.INFEASIBLE:
-            solution = Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "presolve")
-            return FallbackOutcome(
-                solution=solution, attempts=(BackendAttempt("presolve", True),)
-            )
-        if pre.status is PresolveStatus.SOLVED:
-            values = pre.lift({})
-            solution = Solution(
-                SolutionStatus.OPTIMAL, model.objective_value(values), values, "presolve"
-            )
-            return FallbackOutcome(
-                solution=solution, attempts=(BackendAttempt("presolve", True),)
-            )
+        verdict = pre.verdict()
+        if verdict is not None:
+            return FallbackOutcome(solution=verdict, attempts=(BackendAttempt("presolve", True),))
         assert pre.reduced is not None
         target = pre.reduced
 

@@ -146,6 +146,22 @@ class PresolveResult:
         merged.update(values)
         return {v.name: merged[v.name] for v in self.original.variables}
 
+    def verdict(self) -> Solution | None:
+        """The answer presolve already proved, or ``None`` if a model remains.
+
+        INFEASIBLE and SOLVED passes answer on their own, stamped with
+        backend ``"presolve"``; a REDUCED pass leaves :attr:`reduced` for
+        a backend to solve and :meth:`lift_solution` to map back.
+        """
+        if self.status is PresolveStatus.INFEASIBLE:
+            return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "presolve")
+        if self.status is PresolveStatus.SOLVED:
+            values = self.lift({})
+            return Solution(
+                SolutionStatus.OPTIMAL, self.original.objective_value(values), values, "presolve"
+            )
+        return None
+
     def lift_solution(self, solution: Solution) -> Solution:
         """Lift a reduced-model :class:`Solution` to the original space.
 
@@ -774,13 +790,9 @@ def solve_presolved(
     from repro.solver import solve  # local import: repro.solver re-exports this module
 
     pre = presolve(model)
-    if pre.status is PresolveStatus.INFEASIBLE:
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "presolve")
-    if pre.status is PresolveStatus.SOLVED:
-        values = pre.lift({})
-        return Solution(
-            SolutionStatus.OPTIMAL, model.objective_value(values), values, "presolve"
-        )
+    verdict = pre.verdict()
+    if verdict is not None:
+        return verdict
     assert pre.reduced is not None
     solution = solve(
         pre.reduced,

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.solver.branch_and_bound import solve_branch_and_bound
-from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from repro.solver.model import (
     MilpModel,
     Solution,
@@ -280,33 +278,33 @@ class SolveSession:
                     and pre.stats.columns_after == pre.stats.columns_before
                     and pre.stats.rows_after == pre.stats.rows_before
                 )
-                if pre.status is PresolveStatus.INFEASIBLE:
-                    return Solution(
-                        SolutionStatus.INFEASIBLE, float("nan"), {}, "presolve"
-                    )
-                if pre.status is PresolveStatus.SOLVED:
-                    values = pre.lift({})
-                    solution = Solution(
-                        SolutionStatus.OPTIMAL,
-                        model.objective_value(values),
-                        values,
-                        "presolve",
-                    )
-                    self._record(family, form, solution)
-                    return solution
+                verdict = pre.verdict()
+                if verdict is not None:
+                    self._record(family, form, verdict)  # no-op on INFEASIBLE
+                    return verdict
                 assert pre.reduced is not None
                 target, lift = pre.reduced, pre
             else:
                 target, lift = model, None
 
-            warm = known = None
+            from repro.solver import _branch_and_bound, solve  # local: repro.solver imports us
+
+            limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
             if self.backend in _BB_BACKENDS:
-                # Only branch-and-bound consumes seeds and dual bounds;
-                # computing (and counting) them for other backends would
-                # make the session stats lie.
-                warm = self._project_seed(family, target)
-                known = self._reusable_bound(family, form)
-            solution = self._dispatch(target, warm, known, time_limit, max_nodes, gap)
+                # Only branch-and-bound consumes seeds, dual bounds and LP
+                # caches; computing (and counting) them for other backends
+                # would make the session stats lie.
+                solution = _branch_and_bound(
+                    target,
+                    self.backend,
+                    bb_workers=self.bb_workers,
+                    warm_start=self._project_seed(family, target),
+                    known_bound=self._reusable_bound(family, form),
+                    lp_cache=self._lp_cache_for(_instance_digest(target.compile())),
+                    **limits,
+                )
+            else:
+                solution = solve(target, self.backend, bb_workers=self.bb_workers, **limits)
             if lift is not None:
                 solution = lift.lift_solution(solution)
             self._record(family, form, solution)
@@ -345,49 +343,6 @@ class SolveSession:
             obs.counter("solver.session.bound_reuses").inc()
             return family.prev_objective
         return None
-
-    def _dispatch(
-        self,
-        target: MilpModel,
-        warm: dict[str, float] | None,
-        known: float | None,
-        time_limit: float | None,
-        max_nodes: int | None,
-        gap: float | None,
-    ) -> Solution:
-        if self.backend in _BB_BACKENDS:
-            kwargs: dict[str, object] = {}
-            if max_nodes is not None:
-                kwargs["max_nodes"] = max_nodes
-            if gap is not None:
-                kwargs["gap"] = gap
-            lp_cache = self._lp_cache_for(_instance_digest(target.compile()))
-            parallel = self.backend == "parallel-bb" or (
-                self.bb_workers is not None and self.bb_workers > 1
-            )
-            if parallel:
-                return solve_parallel_branch_and_bound(
-                    target,
-                    workers=self.bb_workers,
-                    time_limit=time_limit,
-                    warm_start=warm,
-                    known_bound=known,
-                    lp_cache=lp_cache,
-                    **kwargs,
-                )
-            return solve_branch_and_bound(
-                target,
-                time_limit=time_limit,
-                warm_start=warm,
-                known_bound=known,
-                lp_cache=lp_cache,
-                **kwargs,
-            )
-        from repro.solver import solve
-
-        return solve(
-            target, self.backend, time_limit=time_limit, max_nodes=max_nodes, gap=gap
-        )
 
     def _record(
         self, family: _FamilyState, form: StandardForm | None, solution: Solution

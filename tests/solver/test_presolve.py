@@ -16,9 +16,11 @@ from repro.solver import (
     ObjectiveSense,
     PresolveStatus,
     SolutionStatus,
+    SolveSession,
     presolve,
     solve,
     solve_presolved,
+    solve_with_fallback,
 )
 
 SEEDS = range(60)
@@ -186,6 +188,39 @@ def test_infeasibility_detected():
     assert pre.status is PresolveStatus.INFEASIBLE
     warm = solve_presolved(model)
     assert warm.status is SolutionStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("backend", ["scipy", "branch-and-bound"])
+def test_verdict_answers_every_entry_point_alike(backend):
+    """One verdict per presolve status, whichever entry point asks."""
+    solved = MilpModel("trivial", ObjectiveSense.MAXIMIZE)
+    x = solved.binary("x")
+    solved.add_constraint(x + 0.0 >= 1, name="force")
+    solved.set_objective(4 * x)
+    impossible = MilpModel("impossible", ObjectiveSense.MAXIMIZE)
+    y = impossible.binary("y")
+    impossible.add_constraint(y + 0.0 >= 2, name="cannot")
+    impossible.set_objective(y * 1)
+    reduced = random_program(0)
+
+    assert presolve(reduced).verdict() is None
+    expected = {solved: SolutionStatus.OPTIMAL, impossible: SolutionStatus.INFEASIBLE}
+    for model, status in expected.items():
+        verdict = presolve(model).verdict()
+        assert (verdict.status, verdict.backend) == (status, "presolve")
+        for answer in (
+            solve_presolved(model, backend),
+            solve_with_fallback(model, presolve=True).solution,
+            SolveSession(backend).solve(model),
+        ):
+            # repr: an INFEASIBLE objective is nan, which equals nothing.
+            assert (answer.status, answer.backend, answer.values, repr(answer.objective)) == (
+                verdict.status,
+                verdict.backend,
+                verdict.values,
+                repr(verdict.objective),
+            )
+    assert presolve(solved).verdict().objective == 4.0
 
 
 def test_redundant_row_dropped():
