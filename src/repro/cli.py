@@ -52,12 +52,9 @@ from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
 from repro.runtime.pool import PersistentPool, resolve_workers, use_pool
 from repro.runtime.resilience import FAILURE_MODES, MapReport, RetryPolicy
 from repro.simulation.campaign import run_campaign
+from repro.solver import BACKENDS
 
 __all__ = ["main", "build_parser"]
-
-#: Backends exposed on the command line.  ``enumeration`` is deliberately
-#: absent: it is a test oracle, not a practical solver.
-_CLI_BACKENDS = ["scipy", "branch-and-bound", "parallel-bb", "fallback"]
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
@@ -125,8 +122,8 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="fan branch-and-bound subtree search out across N workers "
-        "(parallel-bb); objectives, deployments and node counts are "
-        "bit-identical at any worker count",
+        "(N > 1 answers as parallel-bb); objectives, deployments and "
+        "node counts are bit-identical at any N > 1",
     )
 
 
@@ -773,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_arguments(optimize)
     _add_budget_arguments(optimize)
     optimize.add_argument("--backend", default="scipy",
-                          choices=_CLI_BACKENDS)
+                          choices=BACKENDS)
     optimize.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                           help="solver wall-clock limit in seconds")
     _add_solver_arguments(optimize)
@@ -790,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     mincost.add_argument("--fully-cover", default=None,
                          metavar="ATTACK,...", help="attacks whose required steps must be covered")
     mincost.add_argument("--backend", default="scipy",
-                         choices=_CLI_BACKENDS)
+                         choices=BACKENDS)
     mincost.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                          help="solver wall-clock limit in seconds")
     _add_solver_arguments(mincost)
@@ -803,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_arguments(sweep)
     sweep.add_argument("--fractions", default="0.05,0.1,0.2,0.4,0.8")
     sweep.add_argument("--backend", default="scipy",
-                       choices=_CLI_BACKENDS)
+                       choices=BACKENDS)
     _add_solver_arguments(sweep)
     sweep.add_argument("--csv", type=Path, help="write sweep CSV here")
     _add_workers_argument(sweep)
@@ -841,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(frontier)
     _add_weight_arguments(frontier)
     frontier.add_argument("--backend", default="scipy",
-                          choices=_CLI_BACKENDS)
+                          choices=BACKENDS)
     frontier.add_argument("--max-points", type=int, default=1000)
     _add_solver_arguments(frontier)
     frontier.add_argument("--csv", type=Path, help="write the frontier CSV here")

@@ -378,8 +378,13 @@ class SystemModel:
         return self._monitor_cost[monitor_id]
 
     def deployment_cost(self, monitor_ids: Iterable[str]) -> CostVector:
-        """Total cost of deploying the given monitors."""
-        return CostVector.total(self.monitor_cost(m) for m in monitor_ids)
+        """Total cost of deploying the given monitors.
+
+        Summed in sorted id order: float addition is not associative,
+        so summing in the iteration order of a (hash-ordered) set would
+        make the last bits depend on ``PYTHONHASHSEED``.
+        """
+        return CostVector.total(self.monitor_cost(m) for m in sorted(monitor_ids))
 
     def total_cost(self) -> CostVector:
         """Cost of deploying every monitor in the model."""

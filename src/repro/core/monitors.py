@@ -63,7 +63,9 @@ class CostVector:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "CostVector") -> "CostVector":
-        dims = set(self.values) | set(other.values)
+        # An insertion-ordered union, not a set: the dimension order is
+        # the order scalarize() sums in, so it must not follow hash order.
+        dims = {**self.values, **other.values}
         return CostVector({d: self.get(d) + other.get(d) for d in dims})
 
     def __mul__(self, factor: float) -> "CostVector":

@@ -71,6 +71,7 @@ ALLOWED_PACKAGE_DEPS: dict[str, frozenset[str]] = {
             "runtime",
             "service",
             "simulation",
+            "solver",
         }
     ),
     "errors": frozenset(),

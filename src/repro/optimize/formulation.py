@@ -99,7 +99,7 @@ class FormulationBuilder:
         self._coverage_level: dict[str, LinearExpression] = {}
         self._redundancy_level: dict[tuple[str, int], LinearExpression] = {}
         self._richness_level: dict[str, LinearExpression] = {}
-        self._utility_expression: dict[tuple[float, float, float, int], LinearExpression] = {}
+        self._utility_expression: dict[UtilityWeights, LinearExpression] = {}
 
     # ------------------------------------------------------------------
     # per-event levels
@@ -223,11 +223,10 @@ class FormulationBuilder:
         object and one set of auxiliary rows.
         """
         weights = weights or UtilityWeights()
-        key = (weights.coverage, weights.redundancy, weights.richness, weights.redundancy_cap)
-        cached = self._utility_expression.get(key)
+        cached = self._utility_expression.get(weights)
         if cached is None:
             cached = self.weighted_utility_expression(self.event_objective_weights(), weights)
-            self._utility_expression[key] = cached
+            self._utility_expression[weights] = cached
         return cached
 
     def weighted_utility_expression(

@@ -258,10 +258,8 @@ class MaxUtilityProblem:
 
     def solve_with_fallback(
         self,
-        backends: tuple[str, ...] = DEFAULT_CHAIN,
         *,
         time_limit: float | None = None,
-        greedy_last_resort: bool = True,
         presolve: bool = False,
         max_nodes: int | None = None,
         gap: float | None = None,
@@ -269,14 +267,14 @@ class MaxUtilityProblem:
     ) -> OptimizationResult:
         """Solve through the backend fallback chain, greedy as last resort.
 
-        Exact backends are tried in ``backends`` order via
-        :func:`repro.solver.solve_with_fallback`; the answering backend
-        and the number of rescued/failed attempts land in ``stats``
-        (``fallback_attempts``, ``fallback_failures``).  If *every*
-        exact backend **errors** — never when one proves the model
-        INFEASIBLE, which is a verdict about the budget, not a solver
-        failure — and ``greedy_last_resort`` is set, the greedy
-        heuristic answers instead with ``method="greedy-fallback"``.
+        Exact backends are tried in :data:`~repro.solver.DEFAULT_CHAIN`
+        order via :func:`repro.solver.solve_with_fallback`; the
+        answering backend and the number of rescued/failed attempts land
+        in ``stats`` (``fallback_attempts``, ``fallback_failures``).  If
+        *every* exact backend **errors** — never when one proves the
+        model INFEASIBLE, which is a verdict about the budget, not a
+        solver failure — the greedy heuristic answers instead with
+        ``method="greedy-fallback"``.
         The greedy rescue is skipped (the chain's
         :class:`~repro.errors.SolverError` propagates) when
         ``max_monitors`` is set: greedy has no cardinality constraint,
@@ -290,7 +288,7 @@ class MaxUtilityProblem:
             If every backend errors and greedy cannot stand in.
         """
         with obs.span(
-            "optimize.max_utility_fallback", backends=",".join(backends)
+            "optimize.max_utility_fallback", backends=",".join(DEFAULT_CHAIN)
         ) as sp:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
@@ -298,7 +296,6 @@ class MaxUtilityProblem:
             try:
                 outcome = solve_with_fallback(
                     milp,
-                    backends,
                     time_limit=time_limit,
                     max_nodes=max_nodes,
                     gap=gap,
@@ -306,7 +303,7 @@ class MaxUtilityProblem:
                     bb_workers=bb_workers,
                 )
             except SolverError:
-                if not greedy_last_resort or self.max_monitors is not None:
+                if self.max_monitors is not None:
                     raise
                 from repro.optimize.greedy import solve_greedy
 
@@ -318,7 +315,7 @@ class MaxUtilityProblem:
                     forced_monitors=self.forced_monitors,
                 )
                 sp.set(answered="greedy")
-                failed = float(len(backends))
+                failed = float(len(DEFAULT_CHAIN))
                 return replace(
                     result,
                     method="greedy-fallback",

@@ -129,10 +129,7 @@ def cache_for(model: SystemModel) -> DeploymentCache:
 
 def evaluation_key(deployed: Iterable[str], weights: UtilityWeights) -> Hashable:
     """The value-based cache key of one ``(deployment, weights)`` pair."""
-    return (
-        frozenset(deployed),
-        (weights.coverage, weights.redundancy, weights.richness, weights.redundancy_cap),
-    )
+    return (frozenset(deployed), weights)
 
 
 def cached_breakdown(

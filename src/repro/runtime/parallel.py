@@ -420,7 +420,6 @@ def parallel_map(
     items: Iterable[_T],
     *,
     workers: int | None = None,
-    chunksize: int = 1,
     policy: RetryPolicy | None = None,
     report: MapReport | None = None,
     pool: PersistentPool | None = None,
@@ -439,9 +438,8 @@ def parallel_map(
     nothing and re-raises task errors unchanged.  ``report`` (a fresh
     :class:`~repro.runtime.resilience.MapReport`) receives the
     structured account of every fault and recovery; the same totals
-    land on ``parallel.*`` obs counters either way.  ``chunksize`` is
-    accepted for backward compatibility and ignored (tasks are
-    scheduled individually so deadlines and retries stay per-task).
+    land on ``parallel.*`` obs counters either way.  Tasks are
+    scheduled individually, so deadlines and retries stay per-task.
 
     When the ambient tracer is retaining spans, every job — pooled or
     serial, so the trace shape is the same either way — is wrapped in
@@ -458,7 +456,6 @@ def parallel_map(
     serial.  Inside a worker process every map runs serially and
     counts ``parallel.nested_serial`` (no pool is forked from a fork).
     """
-    del chunksize  # individually scheduled; see docstring
     materialized: Sequence[_T] = list(items)
     pool = resolve_pool(pool)
     if workers is None and pool is not None:

@@ -8,7 +8,7 @@ once per *call*; a :func:`~repro.runtime.parallel.parallel_map` given no
 pool runs on one scoped to the call.  On top of that lifecycle:
 
 * :class:`PersistentPool` owns its executor explicitly (context
-  manager, lazy creation, idle reaping, bounded crash-respawn);
+  manager, lazy creation, bounded crash-respawn);
 * :func:`publish_arrays` copies a set of numpy arrays once into a
   ``multiprocessing.shared_memory`` segment and hands back a tiny
   picklable :class:`SharedArraysHandle`; workers :func:`attach_arrays`
@@ -39,8 +39,8 @@ spurious unlink/KeyError noise at shutdown.  :func:`attach_arrays`
 therefore opens segments with registration suppressed: only the
 publisher is ever tracked, and only the publisher unlinks.
 
-Everything here is observable: ``pool.created`` / ``pool.respawns`` /
-``pool.reaps`` counters for executor lifecycle, ``pool.segments`` /
+Everything here is observable: ``pool.created`` / ``pool.respawns``
+counters for executor lifecycle, ``pool.segments`` /
 ``pool.segment_bytes`` for publications, ``pool.attaches`` /
 ``pool.detaches`` for mappings, and a ``pool.queue_wait_seconds``
 histogram (recorded by the pooled scheduler in
@@ -53,7 +53,6 @@ import itertools
 import multiprocessing
 import os
 import threading
-import time
 from collections.abc import Iterator, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -397,9 +396,6 @@ class PersistentPool:
     ----------
     workers:
         Worker-process count (defaults like :func:`resolve_workers`).
-    idle_timeout:
-        Seconds of disuse after which the executor is reaped; the next
-        map lazily recreates it.  ``None`` disables reaping.
     max_respawns:
         How many crashed executors :meth:`respawn` will replace before
         refusing (the caller then degrades to serial).  Respawn uses
@@ -413,9 +409,9 @@ class PersistentPool:
     through :meth:`share` — crash or not, exiting the ``with`` block
     leaves zero segments behind.
 
-    Lifecycle transitions (create/reap/respawn/close/share) are guarded
-    by a reentrant lock, so one pool can back many service worker
-    threads: concurrent first-use races create exactly one executor,
+    Lifecycle transitions (create/respawn/close/share) are guarded by
+    a lock, so one pool can back many service worker threads:
+    concurrent first-use races create exactly one executor,
     and a close never interleaves with a respawn.  The lock covers
     lifecycle only — submitting work to the returned executor is
     already thread-safe by ``concurrent.futures`` contract.
@@ -429,19 +425,15 @@ class PersistentPool:
         self,
         workers: int | None = None,
         *,
-        idle_timeout: float | None = None,
         max_respawns: int = 2,
     ):
         self.workers = resolve_workers(workers)
-        self.idle_timeout = idle_timeout
         self.max_respawns = max_respawns
         self._executor: ProcessPoolExecutor | None = None
         self._segments: list[SharedArrays] = []
         self._respawns = 0
-        self._last_used: float | None = None
         self._closed = False
-        #: Reentrant: executor() runs reap_if_idle() under the same lock.
-        self._lifecycle = threading.RLock()
+        self._lifecycle = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -465,27 +457,11 @@ class PersistentPool:
         with self._lifecycle:
             if self._closed:
                 raise PoolError("the pool is closed")
-            self.reap_if_idle()
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
                 if self._counted:
                     obs.counter("pool.created").inc()
-            self._last_used = time.monotonic()
             return self._executor
-
-    def reap_if_idle(self) -> bool:
-        """Shut the executor down if it has sat idle past the timeout."""
-        with self._lifecycle:
-            if (
-                self._executor is not None
-                and self.idle_timeout is not None
-                and self._last_used is not None
-                and time.monotonic() - self._last_used > self.idle_timeout
-            ):
-                self._teardown(kill=False)
-                obs.counter("pool.reaps").inc()
-                return True
-            return False
 
     def respawn(self, reason: str) -> bool:
         """Replace a broken executor; ``False`` once the budget is spent.
@@ -507,7 +483,6 @@ class PersistentPool:
             with obs.span("pool.respawn", reason=reason):
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
                 obs.counter("pool.created").inc()
-            self._last_used = time.monotonic()
             return True
 
     def close(self) -> None:

@@ -47,6 +47,17 @@ __all__ = ["CacheEntry", "ResultCache", "SessionCache"]
 _EMPTY_ENTRY_BYTES = 4096
 
 
+def _session_key(
+    tenant: str,
+    mdigest: str,
+    weights: UtilityWeights | None,
+    backend: str,
+    presolve: bool,
+) -> tuple:
+    """The :class:`SessionCache` key; the service also batches jobs on it."""
+    return (tenant, mdigest, weights or UtilityWeights(), backend, presolve)
+
+
 @dataclass
 class CacheEntry:
     """One tenant's warm solver state for one (model, weights, backend)."""
@@ -134,14 +145,7 @@ class SessionCache:
         The caller must acquire ``entry.lock`` before touching the
         family or session — both hold live, mutable solver state.
         """
-        weights = weights or UtilityWeights()
-        key = (
-            tenant,
-            mdigest,
-            (weights.coverage, weights.redundancy, weights.richness, weights.redundancy_cap),
-            backend,
-            presolve,
-        )
+        key = _session_key(tenant, mdigest, weights, backend, presolve)
         now = self._clock.now()
         with self._lock:
             self._sweep_idle(now)

@@ -24,13 +24,14 @@ import enum
 import hashlib
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.core.model import SystemModel
 from repro.core.serialization import model_to_dict
 from repro.errors import ReproError
 from repro.export.jsonsafe import dumps as strict_dumps
 from repro.metrics.utility import UtilityWeights
+from repro.solver import BACKENDS
 
 __all__ = [
     "JobKind",
@@ -39,10 +40,6 @@ __all__ = [
     "model_digest",
     "request_digest",
 ]
-
-#: Backends a request may name (mirrors the CLI surface; enumeration is
-#: a test oracle, not a service backend).
-VALID_BACKENDS = ("scipy", "branch-and-bound", "parallel-bb", "fallback")
 
 
 class JobKind(enum.Enum):
@@ -137,9 +134,9 @@ class SolveRequest:
             problems.append("tenant must be a non-empty string")
         if (self.model is None) == (self.model_ref is None):
             problems.append("exactly one of model / model_ref is required")
-        if self.backend not in VALID_BACKENDS:
+        if self.backend not in BACKENDS:
             problems.append(
-                f"unknown backend {self.backend!r}; choose from {VALID_BACKENDS}"
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         elif self.backend == "fallback" and self.kind is not JobKind.MAX_UTILITY:
             problems.append(
@@ -232,11 +229,6 @@ def model_digest(model: SystemModel) -> str:
     return digest
 
 
-def _weights_key(weights: UtilityWeights | None) -> tuple[float, float, float, int]:
-    weights = weights or UtilityWeights()
-    return (weights.coverage, weights.redundancy, weights.richness, weights.redundancy_cap)
-
-
 def request_digest(request: SolveRequest, mdigest: str) -> str:
     """Digest of everything that can influence a request's result.
 
@@ -255,7 +247,7 @@ def request_digest(request: SolveRequest, mdigest: str) -> str:
             else sorted((k, float(v)) for k, v in request.budget_limits.items())
         ),
         "budget_fraction": request.budget_fraction,
-        "weights": _weights_key(request.weights),
+        "weights": astuple(request.weights or UtilityWeights()),
         "fractions": list(request.fractions),
         "min_utility": request.min_utility,
         "fully_cover": sorted(request.fully_cover),

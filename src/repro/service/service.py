@@ -51,7 +51,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 from repro import obs
 from repro.core.model import SystemModel
@@ -65,7 +65,7 @@ from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
 from repro.runtime import faults
 from repro.runtime.pool import PersistentPool
 from repro.runtime.resilience import RetryPolicy, TaskFailure
-from repro.service.cache import CacheEntry, ResultCache, SessionCache
+from repro.service.cache import CacheEntry, ResultCache, SessionCache, _session_key
 from repro.service.requests import (
     JobKind,
     RequestValidationError,
@@ -89,6 +89,13 @@ __all__ = [
 
 #: Bucket bounds for the batch-size histogram (jobs per worker slot).
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+#: Most jobs one worker slot executes back-to-back against one warm
+#: cache entry.
+_BATCH_LIMIT = 8
+
+#: Completed results kept per tenant by the result cache.
+_RESULT_CACHE_ENTRIES = 256
 
 
 # ----------------------------------------------------------------------
@@ -162,8 +169,8 @@ class ServiceConfig:
     queue_limit:
         Service-wide bound on pending jobs; admission past it returns
         :class:`QueueFullRejection`.
-    default_policy / tenant_policies:
-        Per-tenant limits (specific tenants override the default).
+    default_policy:
+        Per-tenant limits, the same for every tenant.
     max_retries:
         Extra attempts for *transient* job faults (deterministic
         :class:`~repro.errors.ReproError` verdicts never retry).
@@ -172,9 +179,6 @@ class ServiceConfig:
         :class:`~repro.runtime.resilience.RetryPolicy` (0 disables
         sleeping — the default keeps tests and benchmarks fast; the
         schedule is still deterministic).
-    batch_limit:
-        Most jobs one worker slot executes back-to-back against one
-        warm cache entry.
     presolve:
         Route solves through the exact presolve pipeline.  Off by
         default: presolve can legitimately break ties between equally
@@ -182,17 +186,17 @@ class ServiceConfig:
         bit-identity contract against direct no-presolve oracles —
         opt in when warm-solve throughput matters more (objectives and
         statuses stay exact either way; see ``docs/service.md``).
-    cache_max_bytes / cache_idle_ttl / result_cache_entries:
-        Bounds for the :class:`~repro.service.cache.SessionCache` and
-        :class:`~repro.service.cache.ResultCache`.
+    cache_max_bytes / cache_idle_ttl:
+        Bounds for the :class:`~repro.service.cache.SessionCache`.
     clock:
         Injected time source for admission stamps, deadlines, and
         latency metrics (tests drive a
         :class:`~repro.obs.clock.ManualClock`).
     pool:
         Optional :class:`~repro.runtime.pool.PersistentPool` made
-        ambient for the duration of every batch, so ``parallel-bb``
-        solves reuse one executor.  Lifecycle stays with the caller.
+        ambient for the duration of every batch, so parallel
+        branch-and-bound solves reuse one executor.  Lifecycle stays
+        with the caller.
     bb_workers:
         Branch-and-bound subtree fan-out for sessions created by the
         cache (bit-identical at any count by the PR 6 contract).
@@ -201,15 +205,12 @@ class ServiceConfig:
     workers: int = 2
     queue_limit: int = 64
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
-    tenant_policies: Mapping[str, TenantPolicy] = field(default_factory=dict)
     max_retries: int = 1
     backoff_base: float = 0.0
     backoff_cap: float = 2.0
-    batch_limit: int = 8
     presolve: bool = False
     cache_max_bytes: int = 64 << 20
     cache_idle_ttl: float | None = None
-    result_cache_entries: int = 256
     clock: Clock | None = None
     pool: PersistentPool | None = None
     bb_workers: int | None = None
@@ -219,14 +220,8 @@ class ServiceConfig:
             raise ReproError(f"workers must be >= 1, got {self.workers!r}")
         if self.queue_limit < 1:
             raise ReproError(f"queue_limit must be >= 1, got {self.queue_limit!r}")
-        if self.batch_limit < 1:
-            raise ReproError(f"batch_limit must be >= 1, got {self.batch_limit!r}")
         if self.max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        object.__setattr__(self, "tenant_policies", dict(self.tenant_policies))
-
-    def policy_for(self, tenant: str) -> TenantPolicy:
-        return self.tenant_policies.get(tenant, self.default_policy)
 
 
 # ----------------------------------------------------------------------
@@ -293,11 +288,16 @@ class JobHandle:
     jobs resolve to a ``FAILED`` result carrying the structured
     :class:`~repro.runtime.resilience.TaskFailure` — so awaiting a
     fleet of handles needs no per-handle exception plumbing.
+
+    ``key`` is the job's session-cache key, ``(tenant, model digest,
+    weights, backend, presolve)``, built once at admission: jobs with
+    equal keys batch onto one warm cache entry.
     """
 
     __slots__ = (
         "request",
         "digest",
+        "key",
         "future",
         "admitted_at",
         "status",
@@ -310,12 +310,14 @@ class JobHandle:
         service: "SolveService",
         request: SolveRequest,
         digest: str,
+        key: tuple,
         future: "asyncio.Future[JobResult]",
         admitted_at: float,
     ):
         self._service = service
         self.request = request
         self.digest = digest
+        self.key = key
         self.future = future
         self.admitted_at = admitted_at
         self.status = JobStatus.PENDING
@@ -364,7 +366,7 @@ class SolveService:
             idle_ttl=self.config.cache_idle_ttl,
             clock=self._clock,
         )
-        self.results = ResultCache(max_entries=self.config.result_cache_entries)
+        self.results = ResultCache(max_entries=_RESULT_CACHE_ENTRIES)
         self._models: dict[str, SystemModel] = {}
         self._pending: deque[JobHandle] = deque()
         self._pending_per_tenant: dict[str, int] = {}
@@ -478,10 +480,13 @@ class SolveService:
         model = self._resolve_model(request)
         mdigest = model_digest(model)
         digest = request_digest(request, mdigest)
+        key = _session_key(
+            request.tenant, mdigest, request.weights, request.backend, self.config.presolve
+        )
         loop = asyncio.get_running_loop()
         now = self._clock.now()
         future: asyncio.Future[JobResult] = loop.create_future()
-        handle = JobHandle(self, request, digest, future, now)
+        handle = JobHandle(self, request, digest, key, future, now)
         obs.counter("service.jobs.submitted").inc()
 
         cached = self.results.get(request.tenant, digest)
@@ -514,7 +519,7 @@ class SolveService:
                 f"pending queue is full ({pending}/{self.config.queue_limit})",
                 retry_after=self._retry_after(pending),
             )
-        policy = self.config.policy_for(request.tenant)
+        policy = self.config.default_policy
         tenant_pending = self._pending_per_tenant.get(request.tenant, 0)
         if tenant_pending >= policy.max_pending:
             obs.counter("service.jobs.rejected.tenant_busy").inc()
@@ -568,22 +573,8 @@ class SolveService:
             cond.notify_all()
 
     def _admissible(self, handle: JobHandle) -> bool:
-        policy = self.config.policy_for(handle.request.tenant)
         running = self._running_per_tenant.get(handle.request.tenant, 0)
-        return running < policy.max_running
-
-    def _entry_key(self, handle: JobHandle) -> tuple:
-        """The session-cache key a job will check out (batching key)."""
-        request = handle.request
-        weights = request.weights or UtilityWeights()
-        model = self._resolve_model(request)
-        return (
-            request.tenant,
-            model_digest(model),
-            (weights.coverage, weights.redundancy, weights.richness, weights.redundancy_cap),
-            request.backend,
-            self.config.presolve,
-        )
+        return running < self.config.default_policy.max_running
 
     def _next_batch(self) -> list[JobHandle] | None:
         """Pop the next admissible job plus its family cohort (or None).
@@ -604,17 +595,10 @@ class SolveService:
             return None
         self._pending.remove(head)
         batch = [head]
-        key = self._entry_key(head)
-        if self.config.batch_limit > 1:
-            cohort = [
-                h
-                for h in self._pending
-                if h.request.tenant == head.request.tenant
-                and self._entry_key(h) == key
-            ][: self.config.batch_limit - 1]
-            for h in cohort:
-                self._pending.remove(h)
-                batch.append(h)
+        cohort = [h for h in self._pending if h.key == head.key][: _BATCH_LIMIT - 1]
+        for h in cohort:
+            self._pending.remove(h)
+            batch.append(h)
         tenant = head.request.tenant
         for h in batch:
             h.status = JobStatus.RUNNING
@@ -657,15 +641,14 @@ class SolveService:
         self, batch: list[JobHandle]
     ) -> list[tuple[JobHandle, JobResult]]:
         """Execute a batch against one warm cache entry, job by job."""
-        head = batch[0].request
-        model = self._resolve_model(head)
+        tenant, mdigest, weights, backend, presolve = batch[0].key
         entry = self.sessions.checkout(
-            head.tenant,
-            model,
-            model_digest(model),
-            head.weights,
-            head.backend,
-            presolve=self.config.presolve,
+            tenant,
+            self._resolve_model(batch[0].request),
+            mdigest,
+            weights,
+            backend,
+            presolve=presolve,
             bb_workers=self.config.bb_workers,
         )
         outcomes: list[tuple[JobHandle, JobResult]] = []

@@ -11,9 +11,7 @@ solver.  This package provides one that is self-contained:
   frontier subtrees across worker processes with bit-identical results
   at any worker count;
 * a **HiGHS** backend via :func:`scipy.optimize.milp`
-  (:mod:`repro.solver.scipy_backend`), the default for large instances;
-* an exponential **enumeration oracle** used by the test suite
-  (:mod:`repro.solver.enumerate`).
+  (:mod:`repro.solver.scipy_backend`), the default for large instances.
 
 :func:`solve` dispatches by backend name.
 """
@@ -22,7 +20,6 @@ from collections.abc import Mapping, MutableMapping
 
 from repro.errors import SolverError
 from repro.solver.branch_and_bound import solve_branch_and_bound
-from repro.solver.enumerate import solve_by_enumeration
 from repro.solver.fallback import (
     DEFAULT_CHAIN,
     BackendAttempt,
@@ -77,7 +74,6 @@ __all__ = [
     "presolve",
     "solve",
     "solve_branch_and_bound",
-    "solve_by_enumeration",
     "solve_parallel_branch_and_bound",
     "solve_presolved",
     "solve_scipy_milp",
@@ -86,7 +82,7 @@ __all__ = [
 ]
 
 #: Registered backend names accepted by :func:`solve`.
-BACKENDS = ("scipy", "branch-and-bound", "parallel-bb", "enumeration", "fallback")
+BACKENDS = ("scipy", "branch-and-bound", "fallback")
 
 
 def solve(
@@ -108,30 +104,29 @@ def solve(
     backend:
         One of :data:`BACKENDS`.  ``"scipy"`` (HiGHS) is the default and
         the right choice for anything non-trivial; ``"branch-and-bound"``
-        is the dependency-free exact solver; ``"enumeration"`` is the
-        test oracle and refuses more than ~20 integer variables;
-        ``"fallback"`` tries the default chain (scipy, then
-        branch-and-bound) and answers with the first viable backend —
-        the :class:`Solution.backend` field records which one.
+        is the dependency-free exact solver; ``"fallback"`` tries the
+        default chain (scipy, then branch-and-bound) and answers with
+        the first viable backend — the :class:`Solution.backend` field
+        records which one.
     time_limit:
-        Wall-clock limit in seconds (ignored by the enumeration oracle).
+        Wall-clock limit in seconds.
     max_nodes:
         Branch-and-bound node cap (HiGHS node limit on the scipy
-        backend; ignored by the enumeration oracle).  When it triggers,
-        the best incumbent degrades to status ``FEASIBLE``.
+        backend).  When it triggers, the best incumbent degrades to
+        status ``FEASIBLE``.
     gap:
         Relative optimality gap at which an incumbent is accepted as
-        optimal (ignored by the enumeration oracle).
+        optimal.
     presolve:
         Run the exact reduction pipeline (:mod:`repro.solver.presolve`)
         first and solve the reduced instance; the solution is lifted
         back to the original variable space.
     bb_workers:
-        Worker count for the parallel branch-and-bound.  Routes the
-        ``"parallel-bb"`` backend's fan-out, and upgrades
+        Worker count for branch-and-bound subtree exploration: above 1,
         ``"branch-and-bound"`` (including its turn in the fallback
-        chain) to the parallel solver when greater than 1.  Results are
-        bit-identical at any value — this is a throughput knob, never a
+        chain) runs the parallel solver (solutions stamped
+        ``parallel-bb``), whose answers and node counts are
+        bit-identical at any worker count — a throughput knob, never a
         semantics knob.
     """
     if presolve:
@@ -145,16 +140,13 @@ def solve(
         )
     if backend == "scipy":
         return solve_scipy_milp(model, time_limit=time_limit, max_nodes=max_nodes, gap=gap)
-    if backend in ("branch-and-bound", "parallel-bb"):
+    if backend == "branch-and-bound":
         return _branch_and_bound(
-            model, backend, bb_workers=bb_workers, time_limit=time_limit, max_nodes=max_nodes, gap=gap
+            model, bb_workers=bb_workers, time_limit=time_limit, max_nodes=max_nodes, gap=gap
         )
-    if backend == "enumeration":
-        return solve_by_enumeration(model)
     if backend == "fallback":
         return solve_with_fallback(
             model,
-            DEFAULT_CHAIN,
             time_limit=time_limit,
             max_nodes=max_nodes,
             gap=gap,
@@ -165,7 +157,6 @@ def solve(
 
 def _branch_and_bound(
     model: MilpModel,
-    backend: str,
     *,
     bb_workers: int | None,
     time_limit: float | None,
@@ -175,11 +166,10 @@ def _branch_and_bound(
     known_bound: float | None = None,
     lp_cache: MutableMapping | None = None,
 ) -> Solution:
-    """Run a branch-and-bound backend: the one serial-vs-parallel choice.
+    """Run branch and bound: the one serial-vs-parallel choice.
 
-    ``"parallel-bb"``, or ``"branch-and-bound"`` with ``bb_workers``
-    above 1, takes the parallel solver; ``None`` limits keep the
-    solvers' own defaults.  :func:`solve` calls this cold, and
+    ``bb_workers`` above 1 takes the parallel solver; ``None`` limits
+    keep the solvers' own defaults.  :func:`solve` calls this cold, and
     :class:`SolveSession` with its warm start, dual bound and LP cache.
     """
     options: dict[str, object] = dict(
@@ -189,6 +179,6 @@ def _branch_and_bound(
         options["max_nodes"] = max_nodes
     if gap is not None:
         options["gap"] = gap
-    if backend == "parallel-bb" or (bb_workers is not None and bb_workers > 1):
+    if bb_workers is not None and bb_workers > 1:
         return solve_parallel_branch_and_bound(model, workers=bb_workers, **options)
     return solve_branch_and_bound(model, **options)

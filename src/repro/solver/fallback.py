@@ -28,7 +28,6 @@ without monkey-patching solver internals.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro import obs
@@ -91,7 +90,6 @@ class FallbackOutcome:
 
 def solve_with_fallback(
     model: MilpModel,
-    backends: Sequence[str] = DEFAULT_CHAIN,
     *,
     time_limit: float | None = None,
     max_nodes: int | None = None,
@@ -99,15 +97,14 @@ def solve_with_fallback(
     presolve: bool = False,
     bb_workers: int | None = None,
 ) -> FallbackOutcome:
-    """Solve ``model`` with the first backend in ``backends`` that answers.
+    """Solve ``model`` with the first backend in :data:`DEFAULT_CHAIN` that answers.
 
     ``max_nodes`` and ``gap`` forward to every backend in the chain that
     understands them, so a presolved-but-still-hard instance degrades by
     gap (status ``FEASIBLE``) instead of erroring out of the chain.
     ``bb_workers`` forwards likewise, so the branch-and-bound understudy
-    (or an explicit ``"parallel-bb"`` link) fans its subtree exploration
-    out — answers stay bit-identical to the serial understudy's on
-    unique-optimum instances either way.
+    fans its subtree exploration out — answers stay bit-identical to
+    the serial understudy's on unique-optimum instances either way.
     With ``presolve=True`` the reduction pipeline runs **once**, before
     the chain — every backend then sees the same reduced instance, and
     the answering solution is lifted back to the original space.
@@ -123,9 +120,6 @@ def solve_with_fallback(
     from repro.solver import solve  # local import: repro.solver re-exports this module
     from repro.solver.presolve import presolve as run_presolve
 
-    if not backends:
-        raise SolverError("solve_with_fallback needs at least one backend")
-
     pre = None
     target = model
     if presolve:
@@ -137,8 +131,8 @@ def solve_with_fallback(
         target = pre.reduced
 
     attempts: list[BackendAttempt] = []
-    with obs.span("solver.fallback", backends=",".join(backends)) as sp:
-        for backend in backends:
+    with obs.span("solver.fallback", backends=",".join(DEFAULT_CHAIN)) as sp:
+        for backend in DEFAULT_CHAIN:
             obs.counter("solver.fallback.attempts").inc()
             try:
                 injected = faults.poke(f"solver.{backend}")

@@ -9,9 +9,9 @@ buys parallelism without giving up the determinism contract:
 
 1. **Split (serial).**  Run the root step and the best-first loop of
    :mod:`repro.solver.branch_and_bound` — the same code the serial
-   solver runs — until the heap holds at least ``subtrees`` open nodes
-   (a constant — never a function of the worker count) or the instance
-   is solved outright.
+   solver runs — until the heap holds at least :data:`DEFAULT_SUBTREES`
+   open nodes (a constant — never a function of the worker count) or
+   the instance is solved outright.
 2. **Explore (parallel).**  Each frontier node becomes one task: that
    same loop run to completion over the node's ``(lower, upper)`` box,
    seeded with the phase-1 incumbent and nothing else.  Workers never
@@ -32,17 +32,16 @@ buys parallelism without giving up the determinism contract:
    worker count, any retry schedule, a worker killed and respawned
    mid-subtree — produces bit-identical results.
 
-The contract, precisely: for a fixed instance and fixed ``subtrees``/
-``seed``/``gap``/``max_nodes`` (and no ``time_limit``), objectives,
-deployments, *and node accounting* are bit-identical at every worker
-count.  Objectives and deployments also coincide with the serial
-solver's on instances with a unique optimum (ties may break
-differently — the decomposed search visits optima in a different
-order, and both solvers keep the first they prove).  Node counts are
-**not** comparable to the serial solver's: exhausting a frontier
-subtree explores nodes the serial global best-first order would have
-pruned.  The differential stress suite in ``tests/solver`` pins all of
-this on 50 seeded instances.
+The contract, precisely: for a fixed instance and fixed ``gap``/
+``max_nodes`` (and no ``time_limit``), objectives, deployments, *and
+node accounting* are bit-identical at every worker count.  Objectives
+and deployments also coincide with the serial solver's on instances
+with a unique optimum (ties may break differently — the decomposed
+search visits optima in a different order, and both solvers keep the
+first they prove).  Node counts are **not** comparable to the serial
+solver's: exhausting a frontier subtree explores nodes the serial
+global best-first order would have pruned.  The differential stress
+suite in ``tests/solver`` pins all of this on 50 seeded instances.
 """
 
 from __future__ import annotations
@@ -83,6 +82,11 @@ DEFAULT_SUBTREES = 8
 
 #: Backend name stamped on solutions.
 _BACKEND = "parallel-bb"
+
+#: Seeds the subtree dispatch shuffle.  Results do not depend on it
+#: (the merge is commutative); shuffling keeps that order-independence
+#: exercised on every run instead of hiding behind heap layout.
+_DISPATCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -245,8 +249,6 @@ def solve_parallel_branch_and_bound(
     *,
     workers: int | None = None,
     pool: PersistentPool | None = None,
-    subtrees: int = DEFAULT_SUBTREES,
-    seed: int = 0,
     time_limit: float | None = None,
     max_nodes: int = 1_000_000,
     gap: float = DEFAULT_GAP,
@@ -266,15 +268,6 @@ def solve_parallel_branch_and_bound(
         Optional :class:`~repro.runtime.pool.PersistentPool`; when
         given, the compiled matrices are published once to shared
         memory and subtree tasks carry zero-copy handles.
-    subtrees:
-        Phase-1 frontier size (the decomposition grain).  Part of the
-        instance key for determinism purposes: changing it legitimately
-        changes node accounting, never optima.
-    seed:
-        Seeds the dispatch-order shuffle.  Results are bit-identical
-        across seeds too (the merge is commutative); the seed exists so
-        dispatch order is an explicit, replayable choice rather than an
-        accident of heap layout.
     warm_start, known_bound, lp_cache:
         Exactly as in the serial solver; the cache serves phase 1 only
         (worker processes cannot share a parent-side dict).
@@ -285,14 +278,12 @@ def solve_parallel_branch_and_bound(
     truncated serial search does.
     """
     with obs.span(
-        "solver.parallel_bb", model=model.name, subtrees=subtrees, workers=workers or 0
+        "solver.parallel_bb", model=model.name, subtrees=DEFAULT_SUBTREES, workers=workers or 0
     ) as sp:
         solution = _solve(
             model,
             workers,
             pool,
-            max(1, int(subtrees)),
-            seed,
             time_limit,
             max_nodes,
             gap,
@@ -311,8 +302,6 @@ def _solve(
     model: MilpModel,
     workers: int | None,
     pool: PersistentPool | None,
-    subtrees: int,
-    seed: int,
     time_limit: float | None,
     max_nodes: int,
     gap: float,
@@ -333,7 +322,7 @@ def _solve(
         node_budget=max_nodes,
         deadline=deadline,
         lp_cache=lp_cache,
-        frontier_target=subtrees,
+        frontier_target=DEFAULT_SUBTREES,
     )
     obs.counter("solver.parallel.splits").inc(search.nodes)
     if stopped != "frontier":
@@ -367,7 +356,7 @@ def _solve(
         )
         for rank, (bound, _, lower, upper) in enumerate(frontier)
     ]
-    order = np.random.default_rng(spawn_seeds(seed, 1)[0]).permutation(len(tasks))
+    order = np.random.default_rng(spawn_seeds(_DISPATCH_SEED, 1)[0]).permutation(len(tasks))
     dispatched = [tasks[int(i)] for i in order]
     obs.counter("solver.parallel.subtrees").inc(len(tasks))
     results: list[_SubtreeResult] = parallel_map(

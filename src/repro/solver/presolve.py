@@ -25,7 +25,7 @@ the original variable space **exactly**:
 Every reduction preserves the optimal objective value; fixings preserve
 the full feasible set except dominated-column elimination, which
 preserves at least one optimal solution (the proof is the classic swap
-argument, spelled out at :func:`_eliminate_dominated_columns`).
+argument, spelled out at :meth:`_Reducer.fix_dominated_columns`).
 Solutions of the reduced model lift back through
 :meth:`PresolveResult.lift_solution` with the objective untouched — the
 reduced model's objective carries the fixed variables' contribution in
@@ -77,6 +77,9 @@ INTEGRALITY_TOLERANCE = 1e-6
 #: never silent).  At 2000 monitors / 4000 rows the prefilter is ~3e8
 #: word ops — well inside; a 20k-column pathology is not.
 SPARSE_DOMINANCE_WORK_LIMIT = 4_000_000_000
+
+#: Fixpoint iteration cap (each round applies every rule once).
+_MAX_ROUNDS = 25
 
 
 class PresolveStatus(str, enum.Enum):
@@ -480,7 +483,7 @@ class _Reducer:
             changed = True
         return changed
 
-    def eliminate_dominated_columns(self) -> bool:
+    def fix_dominated_columns(self) -> bool:
         """Fix dominated binary columns to 0 (exact, never heuristic).
 
         Binary column ``k`` is dominated by binary column ``j`` when
@@ -604,14 +607,13 @@ class _Reducer:
 
     # -- the fixpoint ------------------------------------------------------
 
-    def run(self, max_rounds: int, eliminate_dominated: bool) -> None:
-        for _ in range(max_rounds):
+    def run(self) -> None:
+        for _ in range(_MAX_ROUNDS):
             self.stats.rounds += 1
             changed = self.drop_redundant_and_check()
             changed |= self.propagate_bounds()
             changed |= self.merge_duplicate_rows()
-            if eliminate_dominated:
-                changed |= self.eliminate_dominated_columns()
+            changed |= self.fix_dominated_columns()
             if not changed:
                 break
 
@@ -722,28 +724,15 @@ class _Reducer:
         )
 
 
-def presolve(
-    model: MilpModel,
-    *,
-    max_rounds: int = 25,
-    eliminate_dominated: bool = True,
-) -> PresolveResult:
-    """Run the reduction fixpoint over ``model``.
+def presolve(model: MilpModel) -> PresolveResult:
+    """Run the reduction fixpoint over ``model`` (never mutated).
 
-    Parameters
-    ----------
-    model:
-        The MILP to reduce; never mutated.
-    max_rounds:
-        Fixpoint iteration cap (each round applies every rule once).
-    eliminate_dominated:
-        Whether to run the dominated-binary-column rule (the costliest
-        reduction; see :meth:`_Reducer.eliminate_dominated_columns`).
+    Every rule runs each round, for at most :data:`_MAX_ROUNDS` rounds.
     """
     with obs.span("solver.presolve", model=model.name) as sp:
         try:
             reducer = _Reducer(model)
-            reducer.run(max_rounds, eliminate_dominated)
+            reducer.run()
             result = reducer.build_result()
         except _Infeasible:
             stats = PresolveStats(

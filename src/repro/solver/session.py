@@ -51,9 +51,6 @@ __all__ = ["SolveSession", "structure_signature"]
 #: LP caches kept per family (one per distinct reduced instance).
 MAX_CACHED_INSTANCES = 8
 
-#: Backends that consume warm starts, dual bounds, and LP caches.
-_BB_BACKENDS = ("branch-and-bound", "parallel-bb")
-
 
 def structure_signature(model: MilpModel) -> str:
     """Digest of a model's *structure*: what stays fixed across a family.
@@ -152,11 +149,10 @@ class SolveSession:
         Default solve controls forwarded to the backend; ``solve`` may
         override them per call.
     bb_workers:
-        Worker count for parallel branch-and-bound subtree exploration.
-        Routes the ``"parallel-bb"`` backend's fan-out and upgrades
-        ``"branch-and-bound"`` to it when greater than 1; either way
-        the session's warm starts, dual bounds, and phase-1 LP cache
-        apply unchanged, and answers are bit-identical at any count.
+        Worker count for branch-and-bound subtree exploration: above 1,
+        ``"branch-and-bound"`` runs the parallel solver.  The session's
+        warm starts, dual bounds, and phase-1 LP cache apply unchanged,
+        and its answers are bit-identical at any count above 1.
     """
 
     def __init__(
@@ -261,7 +257,7 @@ class SolveSession:
             # The compiled form is only consumed by branch-and-bound's
             # tightening check (_reusable_bound); other backends skip
             # the bookkeeping compile entirely and record form=None.
-            form = model.compile() if self.backend in _BB_BACKENDS else None
+            form = model.compile() if self.backend == "branch-and-bound" else None
 
             if self.presolve_enabled and family.presolve_futile:
                 # The family's last presolve reduced nothing.  Skipping
@@ -290,13 +286,12 @@ class SolveSession:
             from repro.solver import _branch_and_bound, solve  # local: repro.solver imports us
 
             limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
-            if self.backend in _BB_BACKENDS:
+            if self.backend == "branch-and-bound":
                 # Only branch-and-bound consumes seeds, dual bounds and LP
                 # caches; computing (and counting) them for other backends
                 # would make the session stats lie.
                 solution = _branch_and_bound(
                     target,
-                    self.backend,
                     bb_workers=self.bb_workers,
                     warm_start=self._project_seed(family, target),
                     known_bound=self._reusable_bound(family, form),

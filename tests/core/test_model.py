@@ -1,7 +1,13 @@
 """Tests for SystemModel: integrity checking and derived indices."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import AssetKind, ModelBuilder
 from repro.errors import UnknownIdError, ValidationError
 
@@ -142,6 +148,39 @@ class TestCosts:
         assert total.get("cpu") == 2 + 2 + 4 + 3
         assert total.get("storage") == 2
         assert total.get("network") == 2
+
+    def test_cost_bits_do_not_depend_on_the_hash_seed(self):
+        """Float sums must not follow set iteration order.
+
+        Under ``PYTHONHASHSEED`` 0 and 1 a frozenset of monitor ids (and
+        a set of cost dimensions) iterates in different orders; a sum in
+        that order differs in the last bit.  Both the cost of a
+        frozenset deployment and the frontier's first scalar cost must
+        come out bit-identical.
+        """
+        script = (
+            "from repro.casestudy.scaling import ScalingConfig, synthetic_model\n"
+            "from repro.optimize.frontier import exact_frontier\n"
+            "m = synthetic_model(ScalingConfig(assets=30, monitor_types=6, "
+            "monitors=60, attacks=30, seed=3))\n"
+            "ids = frozenset(sorted(m.monitors)[:40])\n"
+            "print(m.deployment_cost(ids).scalarize().hex())\n"
+            "print(exact_frontier(m)[0].scalar_cost.hex())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestFields:

@@ -95,11 +95,6 @@ def test_fallback_backend_name_routes_through_the_chain(tmp_path):
     assert solution.objective == pytest.approx(25.0)
 
 
-def test_empty_chain_is_rejected():
-    with pytest.raises(SolverError):
-        solve_with_fallback(_knapsack(), ())
-
-
 class TestChainControls:
     def test_node_and_gap_controls_forward_to_the_chain(self):
         outcome = solve_with_fallback(_knapsack(), max_nodes=100_000, gap=1e-9)

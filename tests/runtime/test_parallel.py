@@ -114,11 +114,6 @@ class TestParallelMap:
     def test_single_item_stays_serial(self):
         assert parallel_map(_square, [3], workers=4) == [9]
 
-    def test_chunksize_does_not_change_results(self):
-        assert parallel_map(_square, range(20), workers=2, chunksize=5) == [
-            x * x for x in range(20)
-        ]
-
     def test_threaded_observed_maps_keep_the_ambient_registry(self):
         # Regression: serial maps under a tracing capture wrap each job
         # in its own obs.capture, which swaps the process-global

@@ -186,6 +186,20 @@ class TestLineServer:
         assert reply["ok"] is False
         assert len(reply["error"]["problems"]) >= 2
 
+    @pytest.mark.parametrize("backend", ["parallel-bb", "enumeration"])
+    def test_non_backend_names_get_a_typed_error(self, model, backend):
+        request = {
+            "tenant": "t0",
+            "kind": "max-utility",
+            "model": model_to_dict(model),
+            "budget_fraction": 0.5,
+            "backend": backend,
+        }
+        (reply,) = by_id(serve_lines([submit_line("b1", request)]), "b1")
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "RequestValidationError"
+        assert any("unknown backend" in p for p in reply["error"]["problems"])
+
     def test_cancel_unknown_target_is_an_error(self):
         replies = serve_lines([json.dumps({"op": "cancel", "id": "c1", "target": "nope"})])
         (reply,) = by_id(replies, "c1")

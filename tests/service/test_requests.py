@@ -65,6 +65,11 @@ class TestValidation:
     def test_unknown_backend_rejected(self):
         assert any("backend" in p for p in valid_request(backend="cplex").problems())
 
+    @pytest.mark.parametrize("backend", ["parallel-bb", "enumeration"])
+    def test_solution_stamps_and_test_oracles_are_not_backends(self, backend):
+        with pytest.raises(RequestValidationError, match="unknown backend"):
+            valid_request(backend=backend).validate()
+
     def test_fallback_backend_is_max_utility_only(self):
         ok = valid_request(backend="fallback")
         assert ok.problems() == []
@@ -159,3 +164,13 @@ class TestDigests:
             request_digest(base, "other-model"),
         }
         assert len(digests) == 6
+
+    def test_request_digest_bytes_are_pinned(self):
+        # The canonical payload (weights as a 4-field list) must not drift:
+        # result-cache keys and digests shared across processes depend on it.
+        weights = UtilityWeights(coverage=0.5, redundancy=0.3, richness=0.2, redundancy_cap=4)
+        assert request_digest(valid_request(), "md") == "466001a60d3137e6db9fea56697016cc"
+        assert (
+            request_digest(valid_request(weights=weights), "md")
+            == "cc08600c3645600d8843f44f6e70a4ba"
+        )

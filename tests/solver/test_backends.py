@@ -1,15 +1,23 @@
-"""Tests for the three solver backends on known instances."""
+"""Tests for the solver backends, and the enumeration oracle, on known instances."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SolverError, UnboundedError
+from repro.solver import BACKENDS as BACKEND_NAMES
 from repro.solver import MilpModel, ObjectiveSense, SolutionStatus, solve
-from repro.solver.enumerate import MAX_INTEGER_VARIABLES, solve_by_enumeration
 from repro.solver.lp import solve_lp
 from tests.conftest import knapsack_model, set_cover_model
+from tests.solver.enumeration_oracle import MAX_INTEGER_VARIABLES, solve_by_enumeration
 
 BACKENDS = ["scipy", "branch-and-bound", "enumeration"]
+
+
+def solve_with(model, backend):
+    """``solve`` for the real backends, the test-only oracle otherwise."""
+    if backend == "enumeration":
+        return solve_by_enumeration(model)
+    return solve(model, backend)
 
 
 class TestLp:
@@ -55,12 +63,12 @@ class TestLp:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBackendsAgree:
     def test_knapsack_optimum(self, backend):
-        solution = solve(knapsack_model(), backend)
+        solution = solve_with(knapsack_model(), backend)
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(25.0)
 
     def test_set_cover_optimum(self, backend):
-        solution = solve(set_cover_model(), backend)
+        solution = solve_with(set_cover_model(), backend)
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(5.0)
         assert solution.value("A") == 1.0
@@ -72,11 +80,11 @@ class TestBackendsAgree:
         x = model.binary("x")
         model.add_constraint(x >= 2)
         model.set_objective(x + 0.0)
-        assert solve(model, backend).status is SolutionStatus.INFEASIBLE
+        assert solve_with(model, backend).status is SolutionStatus.INFEASIBLE
 
     def test_solution_is_feasible(self, backend):
         model = knapsack_model()
-        solution = solve(model, backend)
+        solution = solve_with(model, backend)
         assert model.is_feasible(solution.values)
 
     def test_mixed_integer_continuous(self, backend):
@@ -86,7 +94,7 @@ class TestBackendsAgree:
         z = model.continuous("z", 0, 1.5)
         model.add_constraint(2 * x + z <= 3)
         model.set_objective(3 * x + z)
-        solution = solve(model, backend)
+        solution = solve_with(model, backend)
         assert solution.objective == pytest.approx(4.0)
         assert solution.value(x) == pytest.approx(1.0)
 
@@ -95,13 +103,21 @@ class TestBackendsAgree:
         x = model.binary("x")
         model.add_constraint(x >= 1)
         model.set_objective(2 * x + 10)
-        assert solve(model, backend).objective == pytest.approx(12.0)
+        assert solve_with(model, backend).objective == pytest.approx(12.0)
 
 
 class TestBackendSpecifics:
     def test_unknown_backend(self):
         with pytest.raises(SolverError, match="unknown backend"):
             solve(knapsack_model(), "cplex")
+
+    @pytest.mark.parametrize("retired", ["enumeration", "parallel-bb"])
+    def test_oracle_and_parallel_names_are_not_backends(self, retired):
+        # The oracle lives under tests/; parallel B&B is branch-and-bound
+        # with bb_workers > 1, its solutions stamped "parallel-bb".
+        assert BACKEND_NAMES == ("scipy", "branch-and-bound", "fallback")
+        with pytest.raises(SolverError, match="unknown backend"):
+            solve(knapsack_model(), retired)
 
     def test_unbounded_raises(self):
         model = MilpModel(sense=ObjectiveSense.MAXIMIZE)
@@ -121,7 +137,7 @@ class TestBackendSpecifics:
         model.add_constraint(x <= 1)
         model.set_objective(x + y)
         with pytest.raises(UnboundedError):
-            solve(model, "enumeration")
+            solve_by_enumeration(model)
         with pytest.raises(UnboundedError):
             solve(model, "branch-and-bound")
 

@@ -127,7 +127,3 @@ class TestDispatcherControls:
         solution = solve(knapsack(), backend, max_nodes=100_000, gap=1e-9)
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(25.0)
-
-    def test_enumeration_ignores_the_controls(self):
-        solution = solve(knapsack(), "enumeration", max_nodes=5, gap=0.5)
-        assert solution.objective == pytest.approx(25.0)

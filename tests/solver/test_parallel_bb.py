@@ -104,26 +104,6 @@ class TestWorkerCountInvariance:
             assert spawned.values == reference.values, seed
             assert spawned.nodes_explored == reference.nodes_explored, seed
 
-    def test_dispatch_seed_does_not_change_results(self, shared_pool):
-        """The dispatch shuffle is cosmetic: any seed, same answer."""
-        for seed in (5, 19):
-            model = random_model(seed)
-            a = solve_parallel_branch_and_bound(model, workers=2, pool=shared_pool, seed=0)
-            b = solve_parallel_branch_and_bound(
-                random_model(seed), workers=2, pool=shared_pool, seed=12345
-            )
-            assert same_objective(a.objective, b.objective), seed
-            assert a.values == b.values, seed
-            assert a.nodes_explored == b.nodes_explored, seed
-
-    def test_subtree_grain_never_changes_optima(self):
-        """``subtrees`` legitimately moves node counts, never answers."""
-        for seed in (7, 23, 41):
-            coarse = solve_parallel_branch_and_bound(random_model(seed), workers=1, subtrees=2)
-            fine = solve_parallel_branch_and_bound(random_model(seed), workers=1, subtrees=16)
-            assert same_objective(coarse.objective, fine.objective), seed
-            assert coarse.values == fine.values, seed
-
 
 def _first_decomposed_seed() -> int:
     """The first stress seed whose instance actually reaches phase 2."""
@@ -178,7 +158,7 @@ class TestWarmSessions:
     def test_warm_parallel_session_matches_cold_serial(self, shared_pool):
         """Descending capacities: warm starts + dual bounds, same answers."""
         with use_pool(shared_pool):
-            session = SolveSession("parallel-bb", bb_workers=2, presolve=True)
+            session = SolveSession("branch-and-bound", bb_workers=2, presolve=True)
             for capacity in (24, 18, 14, 9, 5):
                 warm = session.solve(knapsack(capacity))
                 cold = solve_branch_and_bound(knapsack(capacity))

@@ -22,6 +22,7 @@ from repro.solver import (
     solve_presolved,
     solve_with_fallback,
 )
+from tests.solver.enumeration_oracle import solve_by_enumeration
 
 SEEDS = range(60)
 
@@ -62,7 +63,7 @@ def random_program(seed: int) -> MilpModel:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lifted_solutions_match_cold_solves(seed):
     model = random_program(seed)
-    cold = solve(model, "enumeration")
+    cold = solve_by_enumeration(model)
     pre = presolve(model)
 
     if cold.status is SolutionStatus.INFEASIBLE:

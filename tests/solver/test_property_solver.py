@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.solver import MilpModel, ObjectiveSense, SolutionStatus, solve
+from tests.solver.enumeration_oracle import solve_by_enumeration
 
 
 @st.composite
@@ -53,7 +54,7 @@ SETTINGS = dict(
 @given(random_binary_program())
 @settings(**SETTINGS)
 def test_backends_agree_with_oracle(model):
-    oracle = solve(model, "enumeration")
+    oracle = solve_by_enumeration(model)
     for backend in ("scipy", "branch-and-bound"):
         solution = solve(model, backend)
         assert solution.status == oracle.status, backend
@@ -109,7 +110,7 @@ def test_mixed_programs_agree_with_oracle(model):
     # HiGHS proves optimality only to its default MIP gap (~1e-6
     # relative), so continuous-part objectives can differ from the
     # oracle by ~1e-6 in absolute terms; compare at 1e-4.
-    oracle = solve(model, "enumeration")
+    oracle = solve_by_enumeration(model)
     for backend in ("scipy", "branch-and-bound"):
         solution = solve(model, backend)
         assert solution.status == oracle.status, backend

@@ -57,6 +57,7 @@ from repro.solver.sparse import (
     matrix_nbytes,
 )
 from tests.solver.dense_oracle import dense_compile, dominated_dense, to_dense
+from tests.solver.enumeration_oracle import solve_by_enumeration
 from tests.solver.test_presolve import random_program
 
 SEEDS = range(50)
@@ -114,7 +115,7 @@ def test_lp_relaxation_is_bit_identical_across_flavors(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_liftback_is_exact_under_the_sparse_dominance_engine(seed):
     model = random_program(seed)
-    cold = solve(model, "enumeration")
+    cold = solve_by_enumeration(model)
     if cold.status is SolutionStatus.INFEASIBLE:
         warm = solve_presolved(model)
         assert warm.status is SolutionStatus.INFEASIBLE
@@ -178,7 +179,7 @@ def test_sparse_engine_prunes_a_handbuilt_dominated_column():
     assert result.stats.dominated_columns >= 1
     assert result.stats.sparse_dominance_rounds >= 1
     warm = solve_presolved(model)
-    cold = solve(model, "enumeration")
+    cold = solve_by_enumeration(model)
     assert warm.objective == pytest.approx(cold.objective)
     assert warm.values["x2"] == 0.0
 
