@@ -77,11 +77,17 @@ class CostVector:
 
     @classmethod
     def total(cls, vectors: Iterable["CostVector"]) -> "CostVector":
-        """Sum an iterable of cost vectors."""
-        acc = cls.zero()
+        """Sum an iterable of cost vectors.
+
+        One dict accumulates in first-appearance dimension order (the
+        order :meth:`__add__` keeps) and is validated once; the bits
+        match a chain of ``+`` because ``x + 0.0 == x``.
+        """
+        acc: dict[str, float] = {}
         for v in vectors:
-            acc = acc + v
-        return acc
+            for dim, value in v.values.items():
+                acc[dim] = acc.get(dim, 0.0) + value
+        return cls(acc)
 
     # -- queries -----------------------------------------------------------
 

@@ -150,7 +150,7 @@ HOT_PATHS: dict[str, tuple[str, ...]] = {
     "repro.solver.branch_and_bound": ("solve_branch_and_bound",),
     "repro.solver.parallel_bb": ("solve_parallel_branch_and_bound",),
     "repro.solver.presolve": ("presolve",),
-    "repro.solver.fallback": ("solve_with_fallback",),
+    "repro.solver.fallback": ("_solve_chain",),
     "repro.solver.session": ("SolveSession.solve",),
     "repro.optimize.greedy": ("solve_greedy",),
     "repro.optimize.greedy_cover": ("solve_greedy_cover",),

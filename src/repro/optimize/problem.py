@@ -27,7 +27,7 @@ from repro.metrics.utility import UtilityWeights, utility
 from repro.optimize.deployment import Deployment, OptimizationResult
 from repro.optimize.family import ProblemFamily
 from repro.optimize.formulation import FormulationBuilder
-from repro.solver import DEFAULT_CHAIN, SolveSession, solve, solve_with_fallback
+from repro.solver import DEFAULT_CHAIN, SolveSession, solve
 from repro.solver.model import MilpModel, ObjectiveSense, Solution, SolutionStatus
 
 __all__ = ["MaxUtilityProblem", "MinCostProblem"]
@@ -85,13 +85,19 @@ def _assemble(
 
     The method reads ``"{prefix}/{backend}"`` and ``achieved`` is the
     caller's utility.  When ``milp`` is given, its size (``variables``,
-    ``constraints``) leads the stats; ``extra`` keys follow in order.
+    ``constraints``) leads the stats; ``extra`` keys follow in order,
+    then, for a fallback-chain answer, how many backends it tried
+    (``fallback_attempts``) and how many of them failed
+    (``fallback_failures``).
     """
     stats: dict[str, float] = {}
     if milp is not None:
         stats["variables"] = float(milp.num_variables)
         stats["constraints"] = float(milp.num_constraints)
     stats.update(extra)
+    if solution.attempts:
+        stats["fallback_attempts"] = float(len(solution.attempts))
+        stats["fallback_failures"] = float(sum(not a.answered for a in solution.attempts))
     return OptimizationResult(
         deployment=Deployment.of(model, selected),
         objective=solution.objective,
@@ -203,99 +209,38 @@ class MaxUtilityProblem:
         :mod:`repro.solver.parallel_bb`); the selected deployment is
         bit-identical at any count.
 
+        With the ``"fallback"`` backend (the session's, when one is
+        given) the exact backends are tried in
+        :data:`~repro.solver.DEFAULT_CHAIN` order, and ``stats`` count
+        the attempts and failures.  If *every* exact backend **errors**
+        — never when one proves the model INFEASIBLE, which is a verdict
+        about the budget, not a solver failure — the greedy heuristic
+        answers instead with ``method="greedy-fallback"``.  The greedy
+        rescue is skipped (the chain's :class:`~repro.errors.SolverError`
+        propagates) when ``max_monitors`` is set: greedy has no
+        cardinality constraint, so its answer could silently violate the
+        problem.
+
         Raises
         ------
         repro.errors.InfeasibleError
             If no deployment fits the budget (only possible with forced
             monitors exceeding it — the empty deployment is otherwise
             always feasible).
+        repro.errors.SolverError
+            If the backend fails and greedy cannot stand in.
         """
         with obs.span("optimize.max_utility", backend=backend) as sp:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
             sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
             family_key = None if self.family is None else self.family.session_key("max-utility")
-            solution = _dispatch(
-                milp,
-                backend,
-                session=session,
-                family_key=family_key,
-                time_limit=time_limit,
-                max_nodes=max_nodes,
-                gap=gap,
-                presolve=presolve,
-                bb_workers=bb_workers,
-            )
-        obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        return self._result(milp, builder, solution, sp.duration)
-
-    def _result(
-        self,
-        milp: MilpModel,
-        builder: FormulationBuilder,
-        solution: Solution,
-        seconds: float,
-        **extra: float,
-    ) -> OptimizationResult:
-        """The result of a solved ILP, for :meth:`solve` and the fallback path."""
-        selected = _selection(
-            builder,
-            solution,
-            f"no deployment fits the budget {dict(self.budget.limits)!r} "
-            f"(forced monitors: {sorted(self.forced_monitors)})",
-        )
-        return _assemble(
-            self.model,
-            solution,
-            selected,
-            seconds,
-            prefix="ilp",
-            achieved=utility(self.model, selected, self.weights),
-            milp=milp,
-            nodes=float(solution.nodes_explored),
-            **extra,
-        )
-
-    def solve_with_fallback(
-        self,
-        *,
-        time_limit: float | None = None,
-        presolve: bool = False,
-        max_nodes: int | None = None,
-        gap: float | None = None,
-        bb_workers: int | None = None,
-    ) -> OptimizationResult:
-        """Solve through the backend fallback chain, greedy as last resort.
-
-        Exact backends are tried in :data:`~repro.solver.DEFAULT_CHAIN`
-        order via :func:`repro.solver.solve_with_fallback`; the
-        answering backend and the number of rescued/failed attempts land
-        in ``stats`` (``fallback_attempts``, ``fallback_failures``).  If
-        *every* exact backend **errors** — never when one proves the
-        model INFEASIBLE, which is a verdict about the budget, not a
-        solver failure — the greedy heuristic answers instead with
-        ``method="greedy-fallback"``.
-        The greedy rescue is skipped (the chain's
-        :class:`~repro.errors.SolverError` propagates) when
-        ``max_monitors`` is set: greedy has no cardinality constraint,
-        so its answer could silently violate the problem.
-
-        Raises
-        ------
-        repro.errors.InfeasibleError
-            If a backend proves no deployment fits the budget.
-        repro.errors.SolverError
-            If every backend errors and greedy cannot stand in.
-        """
-        with obs.span(
-            "optimize.max_utility_fallback", backends=",".join(DEFAULT_CHAIN)
-        ) as sp:
-            with obs.span("optimize.formulate"):
-                milp, builder = self.build()
-            sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
             try:
-                outcome = solve_with_fallback(
+                solution = _dispatch(
                     milp,
+                    backend,
+                    session=session,
+                    family_key=family_key,
                     time_limit=time_limit,
                     max_nodes=max_nodes,
                     gap=gap,
@@ -303,7 +248,8 @@ class MaxUtilityProblem:
                     bb_workers=bb_workers,
                 )
             except SolverError:
-                if self.max_monitors is not None:
+                chosen = session.backend if session is not None else backend
+                if chosen != "fallback" or self.max_monitors is not None:
                     raise
                 from repro.optimize.greedy import solve_greedy
 
@@ -322,15 +268,22 @@ class MaxUtilityProblem:
                     optimal=False,
                     stats={**result.stats, "fallback_attempts": failed, "fallback_failures": failed},
                 )
-            sp.set(answered=outcome.backend)
         obs.histogram("optimize.solve_seconds").observe(sp.duration)
-        return self._result(
-            milp,
+        selected = _selection(
             builder,
-            outcome.solution,
+            solution,
+            f"no deployment fits the budget {dict(self.budget.limits)!r} "
+            f"(forced monitors: {sorted(self.forced_monitors)})",
+        )
+        return _assemble(
+            self.model,
+            solution,
+            selected,
             sp.duration,
-            fallback_attempts=float(len(outcome.attempts)),
-            fallback_failures=float(len(outcome.failures)),
+            prefix="ilp",
+            achieved=utility(self.model, selected, self.weights),
+            milp=milp,
+            nodes=float(solution.nodes_explored),
         )
 
 

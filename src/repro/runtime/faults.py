@@ -4,7 +4,7 @@ Recovery code that is never exercised is recovery code that does not
 work.  This module scripts faults — task exceptions, hangs, worker
 death, solver failures/infeasibility — so ``tests/faults`` can drive
 every recovery path in :func:`~repro.runtime.parallel.parallel_map` and
-:func:`~repro.solver.fallback.solve_with_fallback` deterministically:
+the solver fallback chain (``solve(model, "fallback")``) deterministically:
 
 * A :class:`FaultPlan` maps *site* strings (``"task[3]"``,
   ``"solver.scipy"``) to :class:`FaultSpec` entries.  Plans are plain

@@ -138,11 +138,6 @@ class SolveRequest:
             problems.append(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
-        elif self.backend == "fallback" and self.kind is not JobKind.MAX_UTILITY:
-            problems.append(
-                "the fallback backend chain is only available for "
-                "max-utility jobs"
-            )
         if self.kind is JobKind.MAX_UTILITY:
             if (self.budget_limits is None) == (self.budget_fraction is None):
                 problems.append(

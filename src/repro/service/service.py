@@ -199,7 +199,8 @@ class ServiceConfig:
         with the caller.
     bb_workers:
         Branch-and-bound subtree fan-out for sessions created by the
-        cache (bit-identical at any count by the PR 6 contract).
+        cache and for frontier jobs (answers are bit-identical at any
+        count).
     """
 
     workers: int = 2
@@ -798,14 +799,6 @@ class SolveService:
                 max_monitors=request.max_monitors,
                 family=entry.family,
             )
-            if request.backend == "fallback":
-                return problem.solve_with_fallback(
-                    time_limit=time_limit,
-                    presolve=self.config.presolve,
-                    max_nodes=request.max_nodes,
-                    gap=request.gap,
-                    bb_workers=self.config.bb_workers,
-                )
             return problem.solve(
                 request.backend,
                 time_limit=time_limit,
@@ -852,6 +845,7 @@ class SolveService:
                 presolve=self.config.presolve,
                 max_nodes=request.max_nodes,
                 gap=request.gap,
+                bb_workers=self.config.bb_workers,
             )
         raise RequestValidationError([f"unhandled job kind {kind!r}"])
 

@@ -13,19 +13,17 @@ solver.  This package provides one that is self-contained:
 * a **HiGHS** backend via :func:`scipy.optimize.milp`
   (:mod:`repro.solver.scipy_backend`), the default for large instances.
 
-:func:`solve` dispatches by backend name.
+:func:`solve` dispatches by backend name; ``"fallback"`` names the
+backend chain (:mod:`repro.solver.fallback`), and ``presolve=True`` is
+the one cold presolve → solve → lift path.  :class:`SolveSession` adds
+warm state across a family of solves on top of the same dispatch.
 """
 
 from collections.abc import Mapping, MutableMapping
 
 from repro.errors import SolverError
 from repro.solver.branch_and_bound import solve_branch_and_bound
-from repro.solver.fallback import (
-    DEFAULT_CHAIN,
-    BackendAttempt,
-    FallbackOutcome,
-    solve_with_fallback,
-)
+from repro.solver.fallback import DEFAULT_CHAIN, _solve_chain
 from repro.solver.expressions import (
     Constraint,
     ConstraintSense,
@@ -34,6 +32,7 @@ from repro.solver.expressions import (
     VarKind,
 )
 from repro.solver.model import (
+    BackendAttempt,
     MilpModel,
     ObjectiveSense,
     Solution,
@@ -47,8 +46,8 @@ from repro.solver.presolve import (
     PresolveStats,
     PresolveStatus,
     presolve,
-    solve_presolved,
 )
+from repro.solver.presolve import presolve as _presolve
 from repro.solver.scipy_backend import solve_scipy_milp
 from repro.solver.session import SolveSession
 
@@ -57,8 +56,6 @@ __all__ = [
     "Constraint",
     "ConstraintSense",
     "DEFAULT_CHAIN",
-    "FallbackOutcome",
-    "solve_with_fallback",
     "LinearExpression",
     "PresolveResult",
     "PresolveStats",
@@ -75,7 +72,6 @@ __all__ = [
     "solve",
     "solve_branch_and_bound",
     "solve_parallel_branch_and_bound",
-    "solve_presolved",
     "solve_scipy_milp",
     "model_to_lp_string",
     "BACKENDS",
@@ -106,8 +102,9 @@ def solve(
         the right choice for anything non-trivial; ``"branch-and-bound"``
         is the dependency-free exact solver; ``"fallback"`` tries the
         default chain (scipy, then branch-and-bound) and answers with
-        the first viable backend — the :class:`Solution.backend` field
-        records which one.
+        the first viable backend — :attr:`Solution.backend` records
+        which one, and :attr:`Solution.attempts` why any before it
+        failed.
     time_limit:
         Wall-clock limit in seconds.
     max_nodes:
@@ -120,7 +117,10 @@ def solve(
     presolve:
         Run the exact reduction pipeline (:mod:`repro.solver.presolve`)
         first and solve the reduced instance; the solution is lifted
-        back to the original variable space.
+        back to the original variable space.  A model presolve already
+        decides (INFEASIBLE or fully fixed) answers with backend
+        ``"presolve"`` before any backend, the fallback chain included,
+        runs.
     bb_workers:
         Worker count for branch-and-bound subtree exploration: above 1,
         ``"branch-and-bound"`` (including its turn in the fallback
@@ -129,29 +129,20 @@ def solve(
         bit-identical at any worker count — a throughput knob, never a
         semantics knob.
     """
+    limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
     if presolve:
-        return solve_presolved(
-            model,
-            backend,
-            time_limit=time_limit,
-            max_nodes=max_nodes,
-            gap=gap,
-            bb_workers=bb_workers,
-        )
+        pre = _presolve(model)
+        verdict = pre.verdict()
+        if verdict is not None:
+            return verdict
+        assert pre.reduced is not None
+        return pre.lift_solution(solve(pre.reduced, backend, bb_workers=bb_workers, **limits))
     if backend == "scipy":
-        return solve_scipy_milp(model, time_limit=time_limit, max_nodes=max_nodes, gap=gap)
+        return solve_scipy_milp(model, **limits)
     if backend == "branch-and-bound":
-        return _branch_and_bound(
-            model, bb_workers=bb_workers, time_limit=time_limit, max_nodes=max_nodes, gap=gap
-        )
+        return _branch_and_bound(model, bb_workers=bb_workers, **limits)
     if backend == "fallback":
-        return solve_with_fallback(
-            model,
-            time_limit=time_limit,
-            max_nodes=max_nodes,
-            gap=gap,
-            bb_workers=bb_workers,
-        ).solution
+        return _solve_chain(model, bb_workers=bb_workers, **limits)
     raise SolverError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 

@@ -8,17 +8,18 @@ each backend in order and answers with the **first viable** one:
   INFEASIBLE verdict) answers the chain — infeasibility is a property
   of the model, not a backend failure, so it must stop the chain rather
   than fall through to a solver that would "find" something;
-* a backend that raises is recorded (:class:`BackendAttempt`) and the
-  next backend gets the same compiled problem;
+* a backend that raises is recorded (:class:`~repro.solver.model.
+  BackendAttempt`) and the next backend gets the same compiled problem;
 * :class:`~repro.errors.UnboundedError` propagates immediately — an
   unbounded model is unbounded under every exact backend.
 
-:func:`solve_with_fallback` returns a :class:`FallbackOutcome` carrying
-the answering solution plus the full attempt history, so callers (and
-the ``solver.fallback.*`` obs counters) can see which backend answered
-and why its predecessors failed.  ``solve(model, "fallback")`` routes
-through the default chain for callers that only speak backend names —
-including every ``--backend`` CLI flag.
+``solve(model, "fallback")`` is the chain's one entry, so every
+``--backend fallback`` flag, service job and :class:`~repro.solver.
+session.SolveSession` reaches it the same way.  The answering
+:class:`~repro.solver.model.Solution` carries the full attempt history
+in ``attempts``, so callers (and the ``solver.fallback.*`` obs
+counters) can see which backend answered and why its predecessors
+failed.
 
 Fault-injection sites: each dispatch first pokes
 ``solver.<backend>`` through :func:`repro.runtime.faults.poke`, which
@@ -28,86 +29,33 @@ without monkey-patching solver internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from repro import obs
 from repro.errors import SolverError, UnboundedError
 from repro.runtime import faults
-from repro.solver.model import MilpModel, Solution, SolutionStatus
+from repro.solver.model import BackendAttempt, MilpModel, Solution, SolutionStatus
 
-__all__ = [
-    "DEFAULT_CHAIN",
-    "BackendAttempt",
-    "FallbackOutcome",
-    "solve_with_fallback",
-]
+__all__ = ["DEFAULT_CHAIN"]
 
 #: Backends the chain tries, in order: the fast production backend
 #: first, the dependency-light exact solver as the understudy.
 DEFAULT_CHAIN: tuple[str, ...] = ("scipy", "branch-and-bound")
 
 
-@dataclass(frozen=True, slots=True)
-class BackendAttempt:
-    """One backend's turn in the chain."""
-
-    backend: str
-    answered: bool
-    error_type: str = ""
-    error: str = ""
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "backend": self.backend,
-            "answered": self.answered,
-            "error_type": self.error_type,
-            "error": self.error,
-        }
-
-
-@dataclass(frozen=True, slots=True)
-class FallbackOutcome:
-    """The chain's answer plus the full attempt history."""
-
-    solution: Solution
-    attempts: tuple[BackendAttempt, ...]
-
-    @property
-    def backend(self) -> str:
-        """The backend that answered."""
-        return self.attempts[-1].backend
-
-    @property
-    def rescued(self) -> bool:
-        """Whether any predecessor failed before a backend answered."""
-        return len(self.attempts) > 1
-
-    @property
-    def failures(self) -> tuple[BackendAttempt, ...]:
-        """The attempts that failed, in chain order."""
-        return tuple(a for a in self.attempts if not a.answered)
-
-
-def solve_with_fallback(
+def _solve_chain(
     model: MilpModel,
     *,
-    time_limit: float | None = None,
-    max_nodes: int | None = None,
-    gap: float | None = None,
-    presolve: bool = False,
-    bb_workers: int | None = None,
-) -> FallbackOutcome:
+    time_limit: float | None,
+    max_nodes: int | None,
+    gap: float | None,
+    bb_workers: int | None,
+) -> Solution:
     """Solve ``model`` with the first backend in :data:`DEFAULT_CHAIN` that answers.
 
-    ``max_nodes`` and ``gap`` forward to every backend in the chain that
-    understands them, so a presolved-but-still-hard instance degrades by
-    gap (status ``FEASIBLE``) instead of erroring out of the chain.
-    ``bb_workers`` forwards likewise, so the branch-and-bound understudy
-    fans its subtree exploration out — answers stay bit-identical to
-    the serial understudy's on unique-optimum instances either way.
-    With ``presolve=True`` the reduction pipeline runs **once**, before
-    the chain — every backend then sees the same reduced instance, and
-    the answering solution is lifted back to the original space.
+    ``max_nodes``, ``gap`` and ``bb_workers`` forward to every backend
+    that understands them, so a hard instance degrades by gap (status
+    ``FEASIBLE``) instead of erroring out of the chain.
 
     Raises
     ------
@@ -118,17 +66,6 @@ def solve_with_fallback(
         Immediately — no backend disagrees about unboundedness.
     """
     from repro.solver import solve  # local import: repro.solver re-exports this module
-    from repro.solver.presolve import presolve as run_presolve
-
-    pre = None
-    target = model
-    if presolve:
-        pre = run_presolve(model)
-        verdict = pre.verdict()
-        if verdict is not None:
-            return FallbackOutcome(solution=verdict, attempts=(BackendAttempt("presolve", True),))
-        assert pre.reduced is not None
-        target = pre.reduced
 
     attempts: list[BackendAttempt] = []
     with obs.span("solver.fallback", backends=",".join(DEFAULT_CHAIN)) as sp:
@@ -142,7 +79,7 @@ def solve_with_fallback(
                     )
                 else:
                     solution = solve(
-                        target,
+                        model,
                         backend,
                         time_limit=time_limit,
                         max_nodes=max_nodes,
@@ -166,9 +103,7 @@ def solve_with_fallback(
             if len(attempts) > 1:
                 obs.counter("solver.fallback.rescues").inc()
             sp.set(answered=backend, failed=len(attempts) - 1)
-            if pre is not None:
-                solution = pre.lift_solution(solution)
-            return FallbackOutcome(solution=solution, attempts=tuple(attempts))
+            return replace(solution, attempts=tuple(attempts))
         sp.set(answered="", failed=len(attempts))
     obs.counter("solver.fallback.exhausted").inc()
     history = "; ".join(f"{a.backend}: {a.error_type}: {a.error}" for a in attempts)

@@ -47,6 +47,7 @@ __all__ = [
     "MilpModel",
     "StandardForm",
     "SolutionStatus",
+    "BackendAttempt",
     "Solution",
 ]
 
@@ -120,14 +121,29 @@ class SolutionStatus(str, enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
+class BackendAttempt:
+    """One backend's turn in the fallback chain."""
+
+    backend: str
+    answered: bool
+    error_type: str = ""
+    error: str = ""
+
+
+@dataclass(frozen=True, slots=True)
 class Solution:
-    """A solve result: status, objective (model sense), and assignment."""
+    """A solve result: status, objective (model sense), and assignment.
+
+    ``attempts`` is the fallback chain's history, in chain order, ending
+    with the backend that answered; it is empty for every other solve.
+    """
 
     status: SolutionStatus
     objective: float
     values: Mapping[str, float]
     backend: str
     nodes_explored: int = 0
+    attempts: tuple[BackendAttempt, ...] = ()
 
     @property
     def is_optimal(self) -> bool:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as _sp
@@ -63,7 +63,6 @@ __all__ = [
     "PresolveStats",
     "PresolveResult",
     "presolve",
-    "solve_presolved",
 ]
 
 #: Feasibility tolerance for activity-bound reasoning.
@@ -170,17 +169,13 @@ class PresolveResult:
 
         The objective is carried over unchanged: the reduced model's
         objective constant already includes the fixed variables'
-        contribution, so backends report the full-model value.
+        contribution, so backends report the full-model value.  Every
+        field but ``values`` (the fallback chain's ``attempts`` too)
+        carries over as is.
         """
         if not solution.values:
             return solution
-        return Solution(
-            status=solution.status,
-            objective=solution.objective,
-            values=self.lift(solution.values),
-            backend=solution.backend,
-            nodes_explored=solution.nodes_explored,
-        )
+        return replace(solution, values=self.lift(solution.values))
 
 
 def _publish_counters(stats: PresolveStats) -> None:
@@ -759,36 +754,3 @@ def presolve(model: MilpModel) -> PresolveResult:
         )
     return result
 
-
-def solve_presolved(
-    model: MilpModel,
-    backend: str = "scipy",
-    *,
-    time_limit: float | None = None,
-    max_nodes: int | None = None,
-    gap: float | None = None,
-    bb_workers: int | None = None,
-) -> Solution:
-    """One-shot presolve + solve + lift (no cross-solve warm state).
-
-    The sweep/frontier/robust layers use :class:`~repro.solver.session.
-    SolveSession` to also carry warm starts across a family; this
-    helper is the stateless fallback used by parallel workers, where a
-    shared session cannot travel across process boundaries.
-    """
-    from repro.solver import solve  # local import: repro.solver re-exports this module
-
-    pre = presolve(model)
-    verdict = pre.verdict()
-    if verdict is not None:
-        return verdict
-    assert pre.reduced is not None
-    solution = solve(
-        pre.reduced,
-        backend,
-        time_limit=time_limit,
-        max_nodes=max_nodes,
-        gap=gap,
-        bb_workers=bb_workers,
-    )
-    return pre.lift_solution(solution)

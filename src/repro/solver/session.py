@@ -25,7 +25,9 @@ solve would see (bit-identical when presolve finds nothing to reduce;
 a genuinely reduced model may break ties among equally-optimal
 deployments differently).  Sessions are not thread-safe and (holding live
 model state) do not cross process boundaries; parallel sweeps fall back
-to stateless :func:`~repro.solver.presolve.solve_presolved` per worker.
+to a stateless ``solve(..., presolve=True)`` per worker.  A ``"fallback"``
+session runs the backend chain on each reduced instance, and the lift
+keeps the chain's ``Solution.attempts``.
 """
 
 from __future__ import annotations

@@ -16,13 +16,8 @@ from repro.metrics.cost import Budget
 from repro.optimize.problem import MaxUtilityProblem
 from repro.runtime import faults
 from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.solver import (
-    DEFAULT_CHAIN,
-    MilpModel,
-    SolutionStatus,
-    solve,
-    solve_with_fallback,
-)
+import repro.solver
+from repro.solver import DEFAULT_CHAIN, MilpModel, SolutionStatus, SolveSession, presolve, solve
 from tests.conftest import knapsack_model as _knapsack
 
 
@@ -32,24 +27,28 @@ def _plan(tmp_path, specs) -> FaultPlan:
     return FaultPlan.of(state, specs)
 
 
+def _failures(solution):
+    return [a for a in solution.attempts if not a.answered]
+
+
 def test_clean_chain_answers_with_the_first_backend():
-    outcome = solve_with_fallback(_knapsack())
-    assert outcome.backend == DEFAULT_CHAIN[0]
-    assert not outcome.rescued
-    assert outcome.failures == ()
-    assert outcome.solution.objective == pytest.approx(25.0)
+    solution = solve(_knapsack(), "fallback")
+    assert solution.attempts[-1].backend == DEFAULT_CHAIN[0]
+    assert len(solution.attempts) == 1
+    assert _failures(solution) == []
+    assert solution.objective == pytest.approx(25.0)
 
 
 def test_failed_backend_falls_through_and_records_why(tmp_path):
     plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="error", times=-1)})
     with faults.inject(plan), obs.capture() as cap:
-        outcome = solve_with_fallback(_knapsack())
-    assert outcome.backend == "branch-and-bound"
-    assert outcome.rescued
-    assert [a.backend for a in outcome.attempts] == ["scipy", "branch-and-bound"]
-    assert outcome.attempts[0].answered is False
-    assert outcome.attempts[0].error_type == "InjectedFault"
-    assert outcome.solution.objective == pytest.approx(25.0)
+        solution = solve(_knapsack(), "fallback")
+    assert solution.attempts[-1].backend == solution.backend == "branch-and-bound"
+    assert len(solution.attempts) > 1
+    assert [a.backend for a in solution.attempts] == ["scipy", "branch-and-bound"]
+    assert solution.attempts[0].answered is False
+    assert solution.attempts[0].error_type == "InjectedFault"
+    assert solution.objective == pytest.approx(25.0)
     counters = cap.registry.snapshot()["counters"]
     assert counters["solver.fallback.attempts"] == 2.0
     assert counters["solver.fallback.failures"] == 1.0
@@ -66,7 +65,7 @@ def test_exhausted_chain_raises_with_full_history(tmp_path):
     )
     with faults.inject(plan), obs.capture() as cap:
         with pytest.raises(SolverError) as excinfo:
-            solve_with_fallback(_knapsack())
+            solve(_knapsack(), "fallback")
     message = str(excinfo.value)
     assert "scipy down" in message and "bb down" in message
     counters = cap.registry.snapshot()["counters"]
@@ -82,10 +81,10 @@ def test_infeasible_verdict_stops_the_chain(tmp_path):
     """
     plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="infeasible", times=-1)})
     with faults.inject(plan):
-        outcome = solve_with_fallback(_knapsack())
-    assert outcome.solution.status is SolutionStatus.INFEASIBLE
-    assert outcome.backend == "scipy"
-    assert not outcome.rescued
+        solution = solve(_knapsack(), "fallback")
+    assert solution.status is SolutionStatus.INFEASIBLE
+    assert solution.attempts[-1].backend == "scipy"
+    assert len(solution.attempts) == 1
 
 
 def test_fallback_backend_name_routes_through_the_chain(tmp_path):
@@ -95,11 +94,36 @@ def test_fallback_backend_name_routes_through_the_chain(tmp_path):
     assert solution.objective == pytest.approx(25.0)
 
 
+def test_the_chain_has_one_entry():
+    for name in ("solve_with_fallback", "FallbackOutcome", "solve_presolved"):
+        assert not hasattr(repro.solver, name), name
+
+
+@pytest.mark.parametrize("entry", ["cold", "session"])
+def test_presolve_lift_keeps_the_chain_history(tmp_path, entry):
+    # x4 alone overflows the capacity, so presolve fixes it and the
+    # chain solves a reduced model that the answer is lifted from.
+    model = _knapsack(weights=(3, 4, 2, 3, 9))
+    assert presolve(model).stats.columns_after == 4
+    plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="error", times=-1)})
+    with faults.inject(plan):
+        if entry == "cold":
+            solution = solve(model, "fallback", presolve=True)
+        else:
+            solution = SolveSession("fallback").solve(model)
+    assert [(a.backend, a.answered) for a in solution.attempts] == [
+        ("scipy", False),
+        ("branch-and-bound", True),
+    ]
+    assert set(solution.values) == {v.name for v in model.variables}
+    assert solution.values["x4"] == 0.0
+
+
 class TestChainControls:
     def test_node_and_gap_controls_forward_to_the_chain(self):
-        outcome = solve_with_fallback(_knapsack(), max_nodes=100_000, gap=1e-9)
-        assert outcome.solution.status is SolutionStatus.OPTIMAL
-        assert outcome.solution.objective == pytest.approx(25.0)
+        solution = solve(_knapsack(), "fallback", max_nodes=100_000, gap=1e-9)
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(25.0)
 
     def test_node_budget_degrades_instead_of_erroring(self, tmp_path):
         # Starve scipy out of the chain, then give branch-and-bound a
@@ -107,31 +131,31 @@ class TestChainControls:
         # still answer (FEASIBLE or INFEASIBLE), never raise.
         plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="error", times=-1)})
         with faults.inject(plan):
-            outcome = solve_with_fallback(_knapsack(), max_nodes=1)
-        assert outcome.backend == "branch-and-bound"
-        assert outcome.solution.status in (
+            solution = solve(_knapsack(), "fallback", max_nodes=1)
+        assert solution.attempts[-1].backend == "branch-and-bound"
+        assert solution.status in (
             SolutionStatus.OPTIMAL,
             SolutionStatus.FEASIBLE,
             SolutionStatus.INFEASIBLE,
         )
 
     def test_presolve_once_before_the_chain_lifts_back(self):
-        cold = solve_with_fallback(_knapsack())
-        warm = solve_with_fallback(_knapsack(), presolve=True)
-        assert warm.solution.objective == pytest.approx(cold.solution.objective)
+        cold = solve(_knapsack(), "fallback")
+        warm = solve(_knapsack(), "fallback", presolve=True)
+        assert warm.objective == pytest.approx(cold.objective)
         model = _knapsack()
-        assert set(warm.solution.values) == {v.name for v in model.variables}
-        assert model.is_feasible(warm.solution.values, tolerance=1e-6)
+        assert set(warm.values) == {v.name for v in model.variables}
+        assert model.is_feasible(warm.values, tolerance=1e-6)
 
     def test_presolve_detected_infeasibility_answers_the_chain(self):
         model = MilpModel("impossible")
         x = model.binary("x")
         model.add_constraint(x + 0.0 >= 2, name="cannot")
         model.set_objective(x * 1)
-        outcome = solve_with_fallback(model, presolve=True)
-        assert outcome.solution.status is SolutionStatus.INFEASIBLE
-        assert outcome.backend == "presolve"
-        assert not outcome.rescued
+        solution = solve(model, "fallback", presolve=True)
+        assert solution.status is SolutionStatus.INFEASIBLE
+        assert solution.backend == "presolve"
+        assert solution.attempts == ()
 
     def test_presolve_solved_model_never_reaches_a_backend(self, tmp_path):
         # Every real backend is scripted to fail; presolve alone must
@@ -148,18 +172,18 @@ class TestChainControls:
         model.add_constraint(x + 0.0 >= 1, name="must")
         model.set_objective(3 * x)
         with faults.inject(plan):
-            outcome = solve_with_fallback(model, presolve=True)
-        assert outcome.backend == "presolve"
-        assert outcome.solution.status is SolutionStatus.OPTIMAL
-        assert outcome.solution.objective == pytest.approx(3.0)
-        assert outcome.solution.values == {"x": 1.0}
+            solution = solve(model, "fallback", presolve=True)
+        assert solution.backend == "presolve"
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(3.0)
+        assert solution.values == {"x": 1.0}
 
 
 class TestProblemFallback:
     def test_answers_like_a_plain_solve(self, toy_model):
         problem = MaxUtilityProblem(toy_model, Budget.of(cpu=6))
         plain = problem.solve()
-        result = problem.solve_with_fallback()
+        result = problem.solve("fallback")
         assert result.deployment.monitor_ids == plain.deployment.monitor_ids
         assert result.utility == pytest.approx(plain.utility)
         assert result.stats["fallback_attempts"] == 1.0
@@ -169,7 +193,7 @@ class TestProblemFallback:
         plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="error", times=-1)})
         problem = MaxUtilityProblem(toy_model, Budget.of(cpu=6))
         with faults.inject(plan):
-            result = problem.solve_with_fallback()
+            result = problem.solve("fallback")
         assert result.method == "ilp/branch-and-bound"
         assert result.stats["fallback_attempts"] == 2.0
         assert result.stats["fallback_failures"] == 1.0
@@ -185,7 +209,7 @@ class TestProblemFallback:
         )
         problem = MaxUtilityProblem(toy_model, Budget.of(cpu=6))
         with faults.inject(plan):
-            result = problem.solve_with_fallback()
+            result = problem.solve("fallback")
         assert result.method == "greedy-fallback"
         assert result.optimal is False
         assert all(isinstance(v, float) for v in result.stats.values())
@@ -202,11 +226,11 @@ class TestProblemFallback:
         problem = MaxUtilityProblem(toy_model, Budget.of(cpu=6), max_monitors=1)
         with faults.inject(plan):
             with pytest.raises(SolverError):
-                problem.solve_with_fallback()
+                problem.solve("fallback")
 
     def test_infeasible_verdict_never_reaches_greedy(self, tmp_path, toy_model):
         plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="infeasible", times=-1)})
         problem = MaxUtilityProblem(toy_model, Budget.of(cpu=6))
         with faults.inject(plan):
             with pytest.raises(InfeasibleError):
-                problem.solve_with_fallback()
+                problem.solve("fallback")

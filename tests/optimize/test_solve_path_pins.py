@@ -169,9 +169,9 @@ def _fallback(kind: str | None) -> Callable[[SystemModel], list]:
     def run(model: SystemModel) -> list:
         problem = MaxUtilityProblem(model, _budget(model, 0.3), WEIGHTS)
         if kind is None:
-            return [_result(problem.solve_with_fallback())]
+            return [_result(problem.solve("fallback"))]
         with _scipy_fault(kind):
-            return [_result(problem.solve_with_fallback())]
+            return [_result(problem.solve("fallback"))]
 
     return run
 
@@ -195,9 +195,7 @@ def _frontier(presolve: bool) -> Callable[[SystemModel], list]:
     def run(model: SystemModel) -> list:
         return [
             {
-                # The point's cost is summed in frozenset order, so its
-                # last bit follows the string hash seed: pin 12 digits.
-                "scalar_cost": f"{point.scalar_cost:.12g}",
+                "scalar_cost": _hex(point.scalar_cost),
                 "utility": _hex(point.utility),
                 "monitors": _ids(point.deployment.monitor_ids),
             }

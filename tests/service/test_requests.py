@@ -70,13 +70,19 @@ class TestValidation:
         with pytest.raises(RequestValidationError, match="unknown backend"):
             valid_request(backend=backend).validate()
 
-    def test_fallback_backend_is_max_utility_only(self):
-        ok = valid_request(backend="fallback")
-        assert ok.problems() == []
-        bad = SolveRequest(
-            tenant="t0", kind="sweep", model_ref="abc", fractions=(0.5,), backend="fallback"
-        )
-        assert any("fallback" in p for p in bad.problems())
+    def test_fallback_backend_is_valid_for_every_kind(self):
+        requirements = {
+            JobKind.MAX_UTILITY: dict(budget_fraction=0.5),
+            JobKind.MIN_COST: dict(min_utility=0.4),
+            JobKind.SWEEP: dict(fractions=(0.5,)),
+            JobKind.FRONTIER: {},
+        }
+        assert set(requirements) == set(JobKind)
+        for kind, fields in requirements.items():
+            request = SolveRequest(
+                tenant="t0", kind=kind, model_ref="abc", backend="fallback", **fields
+            )
+            assert request.problems() == [], kind
 
     def test_max_utility_needs_exactly_one_budget(self):
         assert valid_request(budget_fraction=None).problems()

@@ -19,8 +19,6 @@ from repro.solver import (
     SolveSession,
     presolve,
     solve,
-    solve_presolved,
-    solve_with_fallback,
 )
 from tests.solver.enumeration_oracle import solve_by_enumeration
 
@@ -70,11 +68,11 @@ def test_lifted_solutions_match_cold_solves(seed):
         if pre.status is not PresolveStatus.INFEASIBLE:
             # Presolve may not detect infeasibility itself; the reduced
             # model must then still be infeasible for the backend.
-            warm = solve_presolved(model)
+            warm = solve(model, presolve=True)
             assert warm.status is SolutionStatus.INFEASIBLE
         return
 
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.status is SolutionStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
     # The lifted assignment must be feasible in the ORIGINAL model and
@@ -112,7 +110,7 @@ def test_dominated_column_is_fixed_to_zero():
     pre = presolve(model)
     assert pre.stats.dominated_columns >= 1
     assert pre.fixed.get("b") == 0.0
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.objective == pytest.approx(2.0)
     assert warm.values == {"a": 1.0, "b": 0.0}
 
@@ -127,7 +125,7 @@ def test_dominance_respects_knapsack_counterexample():
     model.add_constraint(3 * x0 + 4 * x1 <= 8, name="cap")
     model.set_objective(10 * x0 + 7 * x1)
 
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.objective == pytest.approx(17.0)
     assert warm.values == {"x0": 1.0, "x1": 1.0}
 
@@ -142,7 +140,7 @@ def test_duplicate_rows_are_merged():
 
     pre = presolve(model)
     assert pre.stats.duplicate_rows >= 1
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     # The surviving merged row must keep the TIGHTER rhs.
     assert warm.objective == pytest.approx(3.0)
 
@@ -158,7 +156,7 @@ def test_forced_fixing_via_singleton_row():
     pre = presolve(model)
     assert pre.stats.forced_fixings >= 1
     assert pre.fixed.get("x") == 1.0
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.objective == pytest.approx(3.0)
     assert warm.values == {"x": 1.0, "y": 0.0}
 
@@ -173,7 +171,7 @@ def test_fully_solved_by_presolve():
     assert pre.status is PresolveStatus.SOLVED
     assert pre.reduced is None
     assert pre.lift({}) == {"x": 1.0}
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.status is SolutionStatus.OPTIMAL
     assert warm.objective == pytest.approx(4.0)
     assert warm.backend == "presolve"
@@ -187,7 +185,7 @@ def test_infeasibility_detected():
 
     pre = presolve(model)
     assert pre.status is PresolveStatus.INFEASIBLE
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.status is SolutionStatus.INFEASIBLE
 
 
@@ -210,8 +208,8 @@ def test_verdict_answers_every_entry_point_alike(backend):
         verdict = presolve(model).verdict()
         assert (verdict.status, verdict.backend) == (status, "presolve")
         for answer in (
-            solve_presolved(model, backend),
-            solve_with_fallback(model, presolve=True).solution,
+            solve(model, backend, presolve=True),
+            solve(model, "fallback", presolve=True),
             SolveSession(backend).solve(model),
         ):
             # repr: an INFEASIBLE objective is nan, which equals nothing.
@@ -233,7 +231,7 @@ def test_redundant_row_dropped():
 
     pre = presolve(model)
     assert pre.stats.redundant_rows >= 1
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.objective == pytest.approx(2.0)
 
 
@@ -245,7 +243,7 @@ def test_lift_solution_preserves_backend_and_status():
     model.add_constraint(x + y <= 1, name="exclusive")
     model.set_objective(2 * x + 3 * y)
 
-    warm = solve_presolved(model, backend="branch-and-bound")
+    warm = solve(model, "branch-and-bound", presolve=True)
     assert warm.status is SolutionStatus.OPTIMAL
     assert warm.values == {"x": 1.0, "y": 0.0}
     assert model.is_feasible(warm.values)

@@ -45,7 +45,6 @@ from repro.solver import (
     SolutionStatus,
     presolve,
     solve,
-    solve_presolved,
 )
 from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.lp import solve_lp
@@ -117,10 +116,10 @@ def test_liftback_is_exact_under_the_sparse_dominance_engine(seed):
     model = random_program(seed)
     cold = solve_by_enumeration(model)
     if cold.status is SolutionStatus.INFEASIBLE:
-        warm = solve_presolved(model)
+        warm = solve(model, presolve=True)
         assert warm.status is SolutionStatus.INFEASIBLE
         return
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     assert warm.status is SolutionStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
     assert model.is_feasible(warm.values, tolerance=1e-6)
@@ -178,7 +177,7 @@ def test_sparse_engine_prunes_a_handbuilt_dominated_column():
     result = presolve(model)
     assert result.stats.dominated_columns >= 1
     assert result.stats.sparse_dominance_rounds >= 1
-    warm = solve_presolved(model)
+    warm = solve(model, presolve=True)
     cold = solve_by_enumeration(model)
     assert warm.objective == pytest.approx(cold.objective)
     assert warm.values["x2"] == 0.0
@@ -207,7 +206,7 @@ def test_multizone_catalog_collapses_under_dominated_monitor_rule():
     assert result.stats.columns_after < result.stats.columns_before
     # And the reduction is exact: lifted solve equals the cold solve.
     cold = solve(milp, "scipy")
-    warm = solve_presolved(milp, backend="scipy")
+    warm = solve(milp, "scipy", presolve=True)
     assert warm.status is cold.status is SolutionStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
 

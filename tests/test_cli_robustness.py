@@ -9,7 +9,8 @@ import pytest
 
 from repro.cli import _parse_policy, _positive_worker_count, build_parser, main
 from repro.core import save_model
-from repro.runtime import RetryPolicy
+from repro.runtime import RetryPolicy, faults
+from repro.runtime.faults import FaultPlan, FaultSpec
 
 
 @pytest.fixture()
@@ -81,6 +82,18 @@ class TestFallbackBackendEndToEnd:
              "--budget-fraction", "0.5", "--backend", "fallback"]
         ) == 0
         assert "utility" in capsys.readouterr().out
+
+    def test_optimize_fallback_rescues_with_greedy_when_every_backend_fails(
+        self, toy_model_file, tmp_path, capsys
+    ):
+        down = FaultSpec(kind="error", times=-1)
+        plan = FaultPlan.of(tmp_path, {"solver.scipy": down, "solver.branch-and-bound": down})
+        with faults.inject(plan):
+            assert main(
+                ["optimize", "--model", str(toy_model_file),
+                 "--budget-fraction", "0.5", "--backend", "fallback"]
+            ) == 0
+        assert capsys.readouterr().out.startswith("greedy-fallback:")
 
     def test_optimize_timeout_flag_is_accepted(self, toy_model_file, capsys):
         assert main(
