@@ -46,7 +46,7 @@ from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights
 from repro.obs import load_trace, write_trace
 from repro.runtime.cache import cached_utility
-from repro.optimize.deployment import Deployment
+from repro.optimize.deployment import Deployment, OptimizationResult
 from repro.optimize.pareto import budget_sweep, pareto_frontier
 from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
 from repro.runtime.pool import PersistentPool, resolve_workers, use_pool
@@ -235,6 +235,12 @@ def _print_report(report: MapReport) -> None:
         )
 
 
+def _print_failures(result: OptimizationResult, where: str = "") -> None:
+    """Surface why no exact backend answered a greedy rescue, on stderr."""
+    for failure in result.failures:
+        print(f"warning: {where}exact backend failed: {failure}", file=sys.stderr)
+
+
 def _load_model(args: argparse.Namespace) -> SystemModel:
     if args.casestudy:
         return enterprise_web_service()
@@ -334,6 +340,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             gap=args.gap,
             bb_workers=args.bb_workers,
         )
+    _print_failures(result)
     print(result.summary())
     report = evaluate_deployment(model, result.deployment, weights)
     print()
@@ -402,24 +409,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             bb_workers=args.bb_workers,
         )
     _print_report(report)
+    for p in points:
+        _print_failures(p.result, f"budget fraction {p.fraction}: ")
+    headers = ["budget fraction", "#monitors", "utility", "scalar cost"]
     rows = [
         [p.fraction, len(p.result.deployment), p.result.utility, p.scalar_cost]
         for p in points
     ]
-    print(render_table(
-        ["budget fraction", "#monitors", "utility", "scalar cost"],
-        rows,
-        title="Utility vs. budget",
-    ))
+    # Points no exact backend proved optimal are marked, and left out of
+    # the non-dominated count below: a heuristic point proves nothing.
+    exact = [p for p in points if p.result.optimal]
+    if len(exact) < len(points):
+        headers.append("answer")
+        for row, p in zip(rows, points):
+            row.append("exact" if p.result.optimal else "heuristic")
+    print(render_table(headers, rows, title="Utility vs. budget"))
     # Non-dominated summary; evaluations route through the shared
     # per-model cache, so the knee re-lookup below is a guaranteed hit.
-    frontier = pareto_frontier([p.result.deployment for p in points], weights)
+    frontier = pareto_frontier([p.result.deployment for p in exact], weights)
     if frontier:
         knee_cost, knee_utility, knee = frontier[-1]
         knee_utility = cached_utility(model, knee.monitor_ids, weights)
+        left_out = len(points) - len(exact)
         print(
-            f"\n{len(frontier)}/{len(points)} points are non-dominated; "
-            f"best utility {knee_utility:.4f} at scalar cost {knee_cost:.2f}"
+            f"\n{len(frontier)}/{len(exact)} points are non-dominated"
+            + (f" ({left_out} heuristic point(s) left out)" if left_out else "")
+            + f"; best utility {knee_utility:.4f} at scalar cost {knee_cost:.2f}"
         )
     if args.csv:
         args.csv.write_text(sweep_to_csv(points))

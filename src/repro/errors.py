@@ -65,6 +65,18 @@ class UnboundedError(SolverError):
     """The optimization problem is unbounded in the objective direction."""
 
 
+class FallbackExhaustedError(SolverError):
+    """Every backend of the solver fallback chain failed.
+
+    ``failures`` holds one ``"backend: ErrorType: message"`` line per
+    backend, in chain order.
+    """
+
+    def __init__(self, message: str, failures: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.failures = tuple(failures)
+
+
 class OptimizationError(ReproError):
     """A deployment-optimization request was malformed or failed."""
 

@@ -112,6 +112,9 @@ class OptimizationResult:
     #: Monitors in the order the method selected them (heuristics only;
     #: empty for solvers that decide the whole set at once).
     selection_order: tuple[str, ...] = ()
+    #: Why no exact backend answered, one ``"backend: ErrorType:
+    #: message"`` line per failed backend (greedy rescues only).
+    failures: tuple[str, ...] = ()
 
     @property
     def monitor_ids(self) -> frozenset[str]:

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from repro import obs
 from repro.core.model import SystemModel
-from repro.errors import InfeasibleError, OptimizationError, SolverError
+from repro.errors import FallbackExhaustedError, InfeasibleError, OptimizationError, SolverError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights, utility
 from repro.optimize.deployment import Deployment, OptimizationResult
@@ -215,7 +215,8 @@ class MaxUtilityProblem:
         the attempts and failures.  If *every* exact backend **errors**
         — never when one proves the model INFEASIBLE, which is a verdict
         about the budget, not a solver failure — the greedy heuristic
-        answers instead with ``method="greedy-fallback"``.  The greedy
+        answers instead with ``method="greedy-fallback"``, and its
+        ``failures`` say why each exact backend failed.  The greedy
         rescue is skipped (the chain's :class:`~repro.errors.SolverError`
         propagates) when ``max_monitors`` is set: greedy has no
         cardinality constraint, so its answer could silently violate the
@@ -247,7 +248,7 @@ class MaxUtilityProblem:
                     presolve=presolve,
                     bb_workers=bb_workers,
                 )
-            except SolverError:
+            except SolverError as exc:
                 chosen = session.backend if session is not None else backend
                 if chosen != "fallback" or self.max_monitors is not None:
                     raise
@@ -267,6 +268,11 @@ class MaxUtilityProblem:
                     method="greedy-fallback",
                     optimal=False,
                     stats={**result.stats, "fallback_attempts": failed, "fallback_failures": failed},
+                    failures=(
+                        exc.failures
+                        if isinstance(exc, FallbackExhaustedError)
+                        else (f"{type(exc).__name__}: {exc}",)
+                    ),
                 )
         obs.histogram("optimize.solve_seconds").observe(sp.duration)
         selected = _selection(

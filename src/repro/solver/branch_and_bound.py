@@ -19,6 +19,13 @@ loop) and :func:`_solution` (stop reason to :class:`Solution`).
 :mod:`repro.solver.parallel_bb` runs the same three, stopping the loop
 at a frontier of open nodes and exploring each in a worker, so both
 solvers share one pruning rule, branching rule and incumbent test.
+
+The loop solves the two children of a branching as a pair: a helper
+thread runs the second child's LP while the main thread solves the
+first (see :func:`_explore`).  The HiGHS binding releases the GIL, so
+the two LPs overlap; each is the same cold solve on either thread, so
+the search, its answer and its node count are those of solving one
+node at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import heapq
 import itertools
 import time
 from collections.abc import Iterator, Mapping, MutableMapping
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,23 +124,25 @@ def _relax(
     lower: np.ndarray,
     upper: np.ndarray,
     cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
+    pending: Future[LpResult] | None = None,
 ) -> LpResult:
     """Solve a node's LP relaxation, via the cross-solve cache when given.
 
     The cache key is the node signature (the branching bounds); callers
     must scope a cache to one immutable ``(c, A, b)`` instance — the
     :class:`~repro.solver.session.SolveSession` keys its caches by the
-    instance digest for exactly this reason.
+    instance digest for exactly this reason.  ``pending`` is the node's
+    LP already running on the helper thread (see :func:`_explore`).
     """
     if cache is None:
-        return relaxation.solve(lower, upper)
+        return relaxation.solve(lower, upper, pending)
     key = (lower.tobytes(), upper.tobytes())
     hit = cache.get(key)
     if hit is not None:
         obs.counter("solver.lp_cache.hits").inc()
         return hit
     obs.counter("solver.lp_cache.misses").inc()
-    result = relaxation.solve(lower, upper)
+    result = relaxation.solve(lower, upper, pending)
     cache[key] = result
     return result
 
@@ -145,8 +155,14 @@ class _Search:
     Minimization convention throughout: ``incumbent_obj`` is ``+inf``
     until an incumbent exists, and ``bound_floor`` is ``-inf`` unless a
     proven dual bound was supplied.  Heap entries are ``(LP bound,
-    tiebreak, lower bounds, upper bounds)``; ``counter`` hands out the
-    tiebreaks in push order.
+    tiebreak, lower bounds, upper bounds, paired)``; ``counter`` hands
+    out the tiebreaks in push order, and ``paired`` marks the first of
+    two sibling children, whose sibling holds the next tiebreak.
+
+    ``root`` is the root LP :func:`_root` solved, used at the first pop
+    instead of being solved again.  ``ahead`` maps tiebreaks to sibling
+    LPs running on the helper thread; ``lp_pairs`` counts the siblings
+    sent there and ``lp_unused`` those the search stopped before using.
     """
 
     form: StandardForm
@@ -155,11 +171,17 @@ class _Search:
     incumbent_x: np.ndarray | None = None
     bound_floor: float = float("-inf")
     nodes: int = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, bool]] = field(default_factory=list)
     counter: Iterator[int] = field(default_factory=itertools.count)
+    root: LpResult | None = None
+    ahead: dict[int, Future[LpResult]] = field(default_factory=dict)
+    lp_pairs: int = 0
+    lp_unused: int = 0
 
-    def push(self, bound: float, lower: np.ndarray, upper: np.ndarray) -> None:
-        heapq.heappush(self.heap, (bound, next(self.counter), lower, upper))
+    def push(
+        self, bound: float, lower: np.ndarray, upper: np.ndarray, paired: bool = False
+    ) -> None:
+        heapq.heappush(self.heap, (bound, next(self.counter), lower, upper, paired))
 
 
 def _root(
@@ -188,6 +210,7 @@ def _root(
     if known_bound is not None:
         search.bound_floor = form.minimized_from_model_sense(known_bound)
     search.push(root.objective, form.lower.copy(), form.upper.copy())
+    search.root = root
     return search
 
 
@@ -207,13 +230,54 @@ def _explore(
     incumbent), ``"limit"`` (node budget or deadline), or
     ``"frontier"`` (the heap reached ``frontier_target`` open nodes —
     the split step of :mod:`repro.solver.parallel_bb`).
+
+    Sibling LPs are solved in pairs.  A node that branches pushes both
+    children with its LP bound and consecutive tiebreaks, so when the
+    first is popped the second is the next pop: the first's own
+    children carry a bound at least as large and later tiebreaks.
+    While this thread solves the first, a helper thread runs the
+    second's LP, and the second's pop waits for that result instead of
+    solving again.  Each LP is the same cold solve on either thread, so
+    every result, and with it the search, is bit-identical to solving
+    one node at a time.  The helper belongs to this call and is shut
+    down before it returns; a sibling result the search never uses is
+    dropped, along with any error it raised.
     """
+    helper = ThreadPoolExecutor(1, thread_name_prefix="repro-bb-lp")
+    try:
+        stopped = _best_first(
+            search,
+            helper,
+            gap=gap,
+            node_budget=node_budget,
+            deadline=deadline,
+            lp_cache=lp_cache,
+            frontier_target=frontier_target,
+        )
+    finally:
+        helper.shutdown(cancel_futures=True)
+    search.lp_unused += len(search.ahead)
+    search.ahead.clear()
+    return stopped
+
+
+def _best_first(
+    search: _Search,
+    helper: ThreadPoolExecutor,
+    *,
+    gap: float,
+    node_budget: int,
+    deadline: float | None,
+    lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
+    frontier_target: int | None,
+) -> str:
+    """:func:`_explore`'s loop, sending each second sibling's LP to ``helper``."""
     form, heap = search.form, search.heap
     integral_indices = np.flatnonzero(form.integrality)
     while heap:
         if frontier_target is not None and len(heap) >= frontier_target:
             return "frontier"
-        bound, _, lower, upper = heapq.heappop(heap)
+        bound, tiebreak, lower, upper, paired = heapq.heappop(heap)
         # A node whose bound cannot beat the incumbent prunes the rest of
         # the heap too (best-first order), so we can stop entirely.
         if search.incumbent_x is not None:
@@ -229,7 +293,20 @@ def _explore(
         if search.nodes > node_budget or (deadline is not None and time.monotonic() > deadline):
             return "limit"
 
-        relaxation = _relax(search.relaxation, lower, upper, lp_cache)
+        if paired:
+            # Nothing sorts between this node and its sibling.
+            _, sibling, sibling_lower, sibling_upper, _ = heap[0]
+            key = (sibling_lower.tobytes(), sibling_upper.tobytes())
+            if lp_cache is None or key not in lp_cache:
+                search.ahead[sibling] = helper.submit(
+                    search.relaxation.run, sibling_lower, sibling_upper
+                )
+                search.lp_pairs += 1
+        if search.root is not None:
+            relaxation, search.root = search.root, None
+        else:
+            pending = search.ahead.pop(tiebreak, None)
+            relaxation = _relax(search.relaxation, lower, upper, lp_cache, pending)
         if not relaxation.is_optimal:
             continue  # infeasible subtree
         if relaxation.objective >= search.incumbent_obj - 1e-12:
@@ -269,15 +346,16 @@ def _explore(
 
         value = relaxation.x[branch_var]
         floor_val = np.floor(value)
-        # Down branch: x <= floor(value)
+        # Down branch x <= floor(value), then up branch x >= ceil(value);
+        # the down child is paired when both are pushed.
         down_upper = upper.copy()
         down_upper[branch_var] = floor_val
-        if lower[branch_var] <= floor_val:
-            search.push(relaxation.objective, lower.copy(), down_upper)
-        # Up branch: x >= ceil(value)
         up_lower = lower.copy()
         up_lower[branch_var] = floor_val + 1.0
-        if up_lower[branch_var] <= upper[branch_var]:
+        up = up_lower[branch_var] <= upper[branch_var]
+        if lower[branch_var] <= floor_val:
+            search.push(relaxation.objective, lower.copy(), down_upper, paired=up)
+        if up:
             search.push(relaxation.objective, up_lower, upper.copy())
 
     return "exhausted"
@@ -358,7 +436,11 @@ def solve_branch_and_bound(
                 search, gap=gap, node_budget=max_nodes, deadline=deadline, lp_cache=lp_cache
             )
         solution = _solution(model, search, _BACKEND, stopped)
-    sp.set(nodes=solution.nodes_explored)
+    sp.set(
+        nodes=solution.nodes_explored,
+        lp_pairs=0 if search is None else search.lp_pairs,
+        lp_unused=0 if search is None else search.lp_unused,
+    )
     obs.counter("solver.solves").inc()
     obs.counter("solver.nodes").inc(solution.nodes_explored)
     obs.histogram("solver.solve_seconds").observe(sp.duration)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import obs
-from repro.errors import SolverError, UnboundedError
+from repro.errors import FallbackExhaustedError, UnboundedError
 from repro.runtime import faults
 from repro.solver.model import BackendAttempt, MilpModel, Solution, SolutionStatus
 
@@ -59,9 +59,10 @@ def _solve_chain(
 
     Raises
     ------
-    repro.errors.SolverError
-        When every backend fails; the message lists each backend's
-        error so the chain's history survives into logs.
+    repro.errors.FallbackExhaustedError
+        When every backend fails; its ``failures`` (and its message)
+        list each backend's error so the chain's history survives into
+        logs and into a greedy rescue's result.
     repro.errors.UnboundedError
         Immediately — no backend disagrees about unboundedness.
     """
@@ -106,7 +107,9 @@ def _solve_chain(
             return replace(solution, attempts=tuple(attempts))
         sp.set(answered="", failed=len(attempts))
     obs.counter("solver.fallback.exhausted").inc()
-    history = "; ".join(f"{a.backend}: {a.error_type}: {a.error}" for a in attempts)
-    raise SolverError(
-        f"every backend in the fallback chain failed for model {model.name!r} ({history})"
+    failures = tuple(f"{a.backend}: {a.error_type}: {a.error}" for a in attempts)
+    raise FallbackExhaustedError(
+        f"every backend in the fallback chain failed for model {model.name!r} "
+        f"({'; '.join(failures)})",
+        failures,
     )

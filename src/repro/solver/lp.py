@@ -11,6 +11,9 @@ dual simplex solve with presolve on, no state carried from one node to
 the next.  Statuses map as the front end maps them, and an optimal
 point must pass the same post-solve feasibility check before it is
 returned, so every node sees the same bits through either route.
+:meth:`LpRelaxation.run` is that solve with no tracing, so a helper
+thread can run it; :meth:`LpRelaxation.solve` wraps it in the
+``solver.lp`` span and the ``solver.lp.solves`` counter.
 
 The binding is scipy's ``scipy.optimize._highspy._core`` (scipy 1.15
 and later).  Calling it directly skips what the front end repeats on
@@ -20,6 +23,7 @@ matrix, option validation, and building duals and bound marginals.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,50 +122,66 @@ class LpRelaxation:
         options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
         self._options = options
 
-    def solve(self, lower: np.ndarray, upper: np.ndarray) -> LpResult:
-        """Solve under column bounds ``lower <= x <= upper``.
+    def solve(
+        self,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        pending: Future[LpResult] | None = None,
+    ) -> LpResult:
+        """Solve under column bounds ``lower <= x <= upper``, traced.
+
+        Each call is one ``solver.lp`` span and one ``solver.lp.solves``
+        count.  ``pending`` is a future already running :meth:`run` on
+        these same bounds on another thread (branch and bound's sibling
+        solve); the span then covers only the wait for it, and its
+        error, if any, is raised here.
+        """
+        with obs.span("solver.lp"):
+            obs.counter("solver.lp.solves").inc()
+            return self.run(lower, upper) if pending is None else pending.result()
+
+    def run(self, lower: np.ndarray, upper: np.ndarray) -> LpResult:
+        """:meth:`solve` without the span and counter, safe on any thread.
 
         Infeasible (crossed bounds included) and unbounded are regular
         outcomes reported in the result; any other HiGHS status, or an
         "optimal" point that fails the post-solve check, raises
-        :class:`~repro.errors.SolverError`.
+        :class:`~repro.errors.SolverError`.  Every call builds its own
+        HiGHS instance and only reads the relaxation, so two threads may
+        run at once; the binding releases the GIL while HiGHS works.
         """
-        with obs.span("solver.lp"):
-            obs.counter("solver.lp.solves").inc()
-            lp = _highs.HighsLp()
-            lp.num_col_ = self._c.size
-            lp.num_row_ = self._row_upper.size
-            lp.a_matrix_ = self._a_matrix
-            lp.col_cost_ = self._c
-            lp.col_lower_ = _highs_inf(lower)
-            lp.col_upper_ = _highs_inf(upper)
-            lp.row_lower_ = self._row_lower
-            lp.row_upper_ = self._row_upper
-            highs = _highs._Highs()
-            if highs.passOptions(self._options) == _highs.HighsStatus.kError:
-                raise SolverError("HiGHS rejected the LP options")
-            if highs.passModel(lp) == _highs.HighsStatus.kError:
-                # Crossed bounds: a model error, which the front end
-                # reports as infeasible.
-                return LpResult("infeasible", float("inf"), None)
-            highs.run()
-            status = highs.getModelStatus()
-            if status == _STATUS.kOptimal:
-                x = np.array(highs.getSolution().col_value)
-                objective = highs.getInfo().objective_function_value
-                if not self._feasible(x, objective, lower, upper):
-                    raise SolverError(
-                        "HiGHS reported an optimal LP point that violates its rows or "
-                        f"bounds by more than {CHECK_TOLERANCE:.2E}"
-                    )
-                return LpResult("optimal", float(objective), x)
-            if status in (_STATUS.kInfeasible, _STATUS.kModelError):
-                return LpResult("infeasible", float("inf"), None)
-            if status == _STATUS.kUnbounded:
-                return LpResult("unbounded", float("-inf"), None)
-            raise SolverError(
-                f"HiGHS LP solve ended with status {highs.modelStatusToString(status)}"
-            )
+        lp = _highs.HighsLp()
+        lp.num_col_ = self._c.size
+        lp.num_row_ = self._row_upper.size
+        lp.a_matrix_ = self._a_matrix
+        lp.col_cost_ = self._c
+        lp.col_lower_ = _highs_inf(lower)
+        lp.col_upper_ = _highs_inf(upper)
+        lp.row_lower_ = self._row_lower
+        lp.row_upper_ = self._row_upper
+        highs = _highs._Highs()
+        if highs.passOptions(self._options) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP options")
+        if highs.passModel(lp) == _highs.HighsStatus.kError:
+            # Crossed bounds: a model error, which the front end
+            # reports as infeasible.
+            return LpResult("infeasible", float("inf"), None)
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _STATUS.kOptimal:
+            x = np.array(highs.getSolution().col_value)
+            objective = highs.getInfo().objective_function_value
+            if not self._feasible(x, objective, lower, upper):
+                raise SolverError(
+                    "HiGHS reported an optimal LP point that violates its rows or "
+                    f"bounds by more than {CHECK_TOLERANCE:.2E}"
+                )
+            return LpResult("optimal", float(objective), x)
+        if status in (_STATUS.kInfeasible, _STATUS.kModelError):
+            return LpResult("infeasible", float("inf"), None)
+        if status == _STATUS.kUnbounded:
+            return LpResult("unbounded", float("-inf"), None)
+        raise SolverError(f"HiGHS LP solve ended with status {highs.modelStatusToString(status)}")
 
     def _feasible(
         self, x: np.ndarray, objective: float, lower: np.ndarray, upper: np.ndarray

@@ -234,7 +234,12 @@ def _run_subtree(task: _SubtreeTask) -> _SubtreeResult:
         stopped = _explore(
             search, gap=task.gap, node_budget=task.node_budget, deadline=deadline, lp_cache=None
         )
-        sp.set(nodes=search.nodes, stopped=stopped)
+        sp.set(
+            nodes=search.nodes,
+            stopped=stopped,
+            lp_pairs=search.lp_pairs,
+            lp_unused=search.lp_unused,
+        )
     return _SubtreeResult(
         task.subtree,
         search.incumbent_obj,
@@ -354,7 +359,7 @@ def _solve(
             ),
             plan=plan,
         )
-        for rank, (bound, _, lower, upper) in enumerate(frontier)
+        for rank, (bound, _, lower, upper, _) in enumerate(frontier)
     ]
     order = np.random.default_rng(spawn_seeds(_DISPATCH_SEED, 1)[0]).permutation(len(tasks))
     dispatched = [tasks[int(i)] for i in order]

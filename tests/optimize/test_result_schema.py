@@ -33,6 +33,7 @@ RESULT_FIELDS = {
     "optimal",
     "stats",
     "selection_order",
+    "failures",
 }
 
 STATS_KEYS = {

@@ -7,13 +7,16 @@ is kept here only as the oracle.  The suite covers 50 seeded random LPs
 (dense, CSR and mixed blocks; empty inequality or equality blocks;
 equality rows; infeasible, unbounded and crossed-bound cases) and every
 node LP that branch and bound solves in the tiny ``sweep_bb_warm``
-budget sweep.  It also checks that an "optimal" point failing the
-post-solve feasibility check raises instead of being returned.
+budget sweep.  Those node LPs, solved again on a helper thread as
+branch and bound solves second siblings, must match the main thread's
+results bit for bit.  It also checks that an "optimal" point failing
+the post-solve feasibility check raises instead of being returned.
 """
 
 from __future__ import annotations
 
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,7 +126,8 @@ def test_random_lp_is_bit_identical_to_linprog(seed):
     assert expected.status == statuses.get(kind, "optimal")
 
 
-def test_node_lps_of_the_tiny_sweep_are_bit_identical_to_linprog(monkeypatch):
+def _tiny_sweep_node_lps(monkeypatch) -> list[tuple[tuple, np.ndarray, np.ndarray, LpResult]]:
+    """Every node LP the tiny sweep solves, on either thread: inputs, bounds, result."""
     nodes: list[tuple[tuple, np.ndarray, np.ndarray, LpResult]] = []
 
     class Recording(LpRelaxation):
@@ -131,8 +135,8 @@ def test_node_lps_of_the_tiny_sweep_are_bit_identical_to_linprog(monkeypatch):
             super().__init__(*inputs)
             self.inputs = inputs
 
-        def solve(self, lower, upper):
-            result = super().solve(lower, upper)
+        def run(self, lower, upper):
+            result = super().run(lower, upper)
             nodes.append((self.inputs, lower.copy(), upper.copy(), result))
             return result
 
@@ -149,10 +153,27 @@ def test_node_lps_of_the_tiny_sweep_are_bit_identical_to_linprog(monkeypatch):
         workers=1,
     )
     assert nodes
-    for inputs, lower, upper, result in nodes:
+    return nodes
+
+
+def test_node_lps_of_the_tiny_sweep_are_bit_identical_to_linprog(monkeypatch):
+    for inputs, lower, upper, result in _tiny_sweep_node_lps(monkeypatch):
         expected = oracle(*inputs, lower, upper)
         assert expected is not None
         assert_bit_identical(result, expected)
+
+
+def test_node_lps_of_the_tiny_sweep_on_a_helper_thread_match_the_main_thread(monkeypatch):
+    nodes = _tiny_sweep_node_lps(monkeypatch)
+    monkeypatch.undo()
+    with ThreadPoolExecutor(1) as helper:
+        for inputs, lower, upper, recorded in nodes:
+            # Both threads solve the node at once, as a sibling pair does.
+            relaxation = LpRelaxation(*inputs)
+            on_helper = helper.submit(relaxation.run, lower, upper)
+            on_main = relaxation.solve(lower, upper)
+            assert_bit_identical(on_helper.result(), on_main)
+            assert_bit_identical(on_main, recorded)
 
 
 def _perturbed_highs(perturb):

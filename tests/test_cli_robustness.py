@@ -95,6 +95,33 @@ class TestFallbackBackendEndToEnd:
             ) == 0
         assert capsys.readouterr().out.startswith("greedy-fallback:")
 
+    def test_greedy_rescue_reports_each_backend_failure_and_is_marked(
+        self, toy_model_file, tmp_path, capsys
+    ):
+        down = FaultSpec(kind="error", times=-1)
+        plan = FaultPlan.of(tmp_path, {"solver.scipy": down, "solver.branch-and-bound": down})
+        with faults.inject(plan):
+            assert main(
+                ["optimize", "--model", str(toy_model_file),
+                 "--budget-fraction", "0.5", "--backend", "fallback"]
+            ) == 0
+            optimize_err = capsys.readouterr().err
+            assert main(
+                ["sweep", "--model", str(toy_model_file), "--workers", "1",
+                 "--fractions", "0.2,0.5", "--backend", "fallback"]
+            ) == 0
+            sweep = capsys.readouterr()
+        for backend in ("scipy", "branch-and-bound"):
+            assert f"warning: exact backend failed: {backend}: " in optimize_err
+            for fraction in ("0.2", "0.5"):
+                assert (
+                    f"warning: budget fraction {fraction}: exact backend failed: {backend}: "
+                    in sweep.err
+                )
+        rows = [line for line in sweep.out.splitlines() if line.lstrip().startswith("0.")]
+        assert len(rows) == 2 and all(row.endswith("heuristic") for row in rows)
+        assert "non-dominated" not in sweep.out
+
     def test_optimize_timeout_flag_is_accepted(self, toy_model_file, capsys):
         assert main(
             ["optimize", "--model", str(toy_model_file),
