@@ -18,11 +18,15 @@ is precisely what the Shapley decomposition corrects.
 
 Evaluations run on the runtime substrate: leave-one-out and add-one-in
 probes go through the shared per-model evaluation cache, and Shapley
-sampling walks each permutation on an incremental
-:class:`~repro.runtime.engine.DeploymentCursor`.  Sampling is organised
-in fixed-size chunks, each seeded from its own spawned
+sampling prices a whole chunk of permutations at once on the
+deployment's :class:`~repro.runtime.engine.ProviderTable` — array
+operations per event, no cursor walk per permutation.  Sampling is
+organised in fixed-size chunks, each seeded from its own spawned
 :class:`numpy.random.SeedSequence`, so the estimate is identical
-whether the chunks run serially or across a process pool.
+whether the chunks run serially or across a process pool.  The model
+rides to workers in a :class:`~repro.runtime.pool.ModelParcel`:
+pickled once per call, unpickled (and its engine built) once per
+worker.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.model import SystemModel
 from repro.errors import MetricError
 from repro.metrics.utility import UtilityWeights
@@ -38,6 +43,7 @@ from repro.optimize.deployment import Deployment
 from repro.runtime.cache import cached_utility
 from repro.runtime.engine import engine_for
 from repro.runtime.parallel import parallel_map, spawn_seeds
+from repro.runtime.pool import ModelParcel
 from repro.runtime.resilience import MapReport, RetryPolicy
 
 __all__ = [
@@ -116,28 +122,20 @@ def add_one_in(
 
 
 def _shapley_chunk(
-    task: tuple[SystemModel, tuple[str, ...], UtilityWeights, int, np.random.SeedSequence],
+    task: tuple[ModelParcel, tuple[str, ...], UtilityWeights, int, np.random.SeedSequence],
 ) -> list[float]:
     """Summed marginal contributions over one chunk of permutations.
 
     Returns per-monitor totals aligned with the ``monitor_ids`` tuple.
     Runs in worker processes, so everything arrives through the task
-    tuple and the engine is (re)built from the pickled model copy.
+    tuple; the permutations are drawn one ``rng.permutation`` call at a
+    time, then priced together on the deployment's provider table.
     """
-    model, monitor_ids, weights, chunk_samples, seed_seq = task
-    engine = engine_for(model)
+    parcel, monitor_ids, weights, chunk_samples, seed_seq = task
+    table = engine_for(parcel.model).provider_table(monitor_ids, weights)
     rng = np.random.default_rng(seed_seq)
-    totals = np.zeros(len(monitor_ids))
-    for _ in range(chunk_samples):
-        order = rng.permutation(len(monitor_ids))
-        cursor = engine.cursor(weights)
-        previous = 0.0
-        for index in order:
-            cursor.add(monitor_ids[index])
-            current = cursor.utility()
-            totals[index] += current - previous
-            previous = current
-    return totals.tolist()
+    orders = np.stack([rng.permutation(len(monitor_ids)) for _ in range(chunk_samples)])
+    return table.marginal_totals(orders).tolist()
 
 
 def shapley_values(
@@ -182,13 +180,23 @@ def shapley_values(
     if samples % SHAPLEY_CHUNK:
         chunk_sizes.append(samples % SHAPLEY_CHUNK)
     seed_seqs = spawn_seeds(seed, len(chunk_sizes))
+    # Built here too, so an unknown monitor raises before any chunk runs.
+    table = engine_for(model).provider_table(monitor_ids, weights)
+    parcel = ModelParcel(model)
     tasks = [
-        (model, monitor_ids, weights, size, seq)
+        (parcel, monitor_ids, weights, size, seq)
         for size, seq in zip(chunk_sizes, seed_seqs)
     ]
-    chunk_totals = parallel_map(
-        _shapley_chunk, tasks, workers=workers, policy=policy, report=report
-    )
+    with obs.span(
+        "analysis.shapley",
+        samples=samples,
+        chunks=len(tasks),
+        monitors=len(monitor_ids),
+        cells=table.cells,
+    ):
+        chunk_totals = parallel_map(
+            _shapley_chunk, tasks, workers=workers, policy=policy, report=report
+        )
 
     totals = np.zeros(len(monitor_ids))
     for chunk in chunk_totals:

@@ -28,8 +28,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
+from typing import TextIO
 
 from repro import obs
 from repro.analysis.evaluation import evaluate_deployment
@@ -699,6 +702,28 @@ def _service_config(args: argparse.Namespace) -> "object":
     )
 
 
+@contextlib.contextmanager
+def _stdout_for_replies_only() -> Iterator[TextIO]:
+    """A text stream on the original stdout, with file descriptor 1 on stderr.
+
+    HiGHS prints progress lines from C straight to descriptor 1, which
+    would interleave with protocol replies.  While the block runs,
+    descriptor 1 (and so ``sys.stdout``) points at stderr and only the
+    yielded stream, over a duplicate of the original descriptor 1,
+    writes to stdout.  Descriptor 1 is restored on exit.
+    """
+    sys.stdout.flush()
+    reply_fd = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        with open(reply_fd, "w", encoding="utf-8", closefd=False) as replies:
+            yield replies
+    finally:
+        sys.stdout.flush()
+        os.dup2(reply_fd, 1)
+        os.close(reply_fd)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -707,18 +732,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = _service_config(args)
 
-    async def _run() -> None:
+    async def _run(replies: TextIO | None) -> None:
         async with SolveService(config) as service:
-            if args.socket is not None:
+            if replies is None:
                 server = await serve_unix_socket(service, str(args.socket))
                 print(f"serving on {args.socket}", file=sys.stderr)
                 async with server:
                     await server.serve_forever()
             else:
-                await serve_stdio(service, sys.stdin, sys.stdout)
+                await serve_stdio(service, sys.stdin, replies)
 
     try:
-        asyncio.run(_run())
+        if args.socket is not None:
+            asyncio.run(_run(None))
+        else:
+            with _stdout_for_replies_only() as replies:
+                asyncio.run(_run(replies))
     except KeyboardInterrupt:
         pass
     return 0

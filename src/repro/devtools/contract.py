@@ -82,7 +82,7 @@ ALLOWED_PACKAGE_DEPS: dict[str, frozenset[str]] = {
     "solver": frozenset({"obs", "runtime"}),
     "optimize": frozenset({"core", "metrics", "obs", "runtime", "solver"}),
     "simulation": frozenset({"core", "obs", "optimize", "runtime"}),
-    "analysis": frozenset({"core", "metrics", "optimize", "runtime", "simulation"}),
+    "analysis": frozenset({"core", "metrics", "obs", "optimize", "runtime", "simulation"}),
     "export": frozenset({"core", "optimize"}),
     "service": frozenset({"core", "metrics", "obs", "optimize", "runtime", "solver"}),
     "casestudy": frozenset({"core"}),
@@ -141,6 +141,7 @@ SHM_ALLOWLIST: frozenset[str] = frozenset({"repro.runtime.pool"})
 #: registered qualname that no longer exists is itself a finding —
 #: renames must update this table.
 HOT_PATHS: dict[str, tuple[str, ...]] = {
+    "repro.analysis.contribution": ("shapley_values",),
     "repro.runtime.engine": ("EvaluationEngine.__init__", "EvaluationEngine.components"),
     "repro.runtime.cache": ("cached_breakdown",),
     "repro.runtime.parallel": ("parallel_map",),

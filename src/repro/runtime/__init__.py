@@ -5,8 +5,9 @@ Three layers every hot path in the repository leans on:
 * :mod:`repro.runtime.engine` — the incremental metrics engine:
   per-monitor evidence bitsets precomputed from the
   :class:`~repro.core.model.SystemModel`, vectorized full evaluation,
-  and O(affected events) delta evaluation through
-  :class:`~repro.runtime.engine.DeploymentCursor`;
+  O(affected events) delta evaluation through
+  :class:`~repro.runtime.engine.DeploymentCursor`, and batch pricing of
+  monitor orderings on a :class:`~repro.runtime.engine.ProviderTable`;
 * :mod:`repro.runtime.cache` — a bounded LRU deployment-evaluation
   cache shared across sweeps, frontier enumeration, and contribution
   sampling;
@@ -15,7 +16,8 @@ Three layers every hot path in the repository leans on:
   (:mod:`repro.runtime.resilience`), and a graceful serial fallback;
 * :mod:`repro.runtime.pool` — persistent worker pools with zero-copy
   shared-memory publication (build the engine's arrays once, map many
-  handle-based tasks against them) and explicit lifecycle;
+  handle-based tasks against them), model parcels (pickled once per
+  map, unpickled once per worker) and explicit lifecycle;
 * :mod:`repro.runtime.faults` — the deterministic fault-injection
   harness the ``tests/faults`` suite drives the recovery paths with.
 
@@ -30,7 +32,7 @@ from repro.runtime.cache import (
     cached_utility,
     evaluation_key,
 )
-from repro.runtime.engine import DeploymentCursor, EvaluationEngine, engine_for
+from repro.runtime.engine import DeploymentCursor, EvaluationEngine, ProviderTable, engine_for
 from repro.runtime.parallel import (
     WORKERS_ENV,
     parallel_map,
@@ -40,6 +42,7 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.pool import (
     EngineHandle,
+    ModelParcel,
     PersistentPool,
     PoolError,
     SharedArrays,
@@ -65,8 +68,10 @@ __all__ = [
     "EngineHandle",
     "EvaluationEngine",
     "MapReport",
+    "ModelParcel",
     "PersistentPool",
     "PoolError",
+    "ProviderTable",
     "RetryPolicy",
     "SharedArrays",
     "SharedArraysHandle",

@@ -24,6 +24,12 @@ addition can be *peeked* without committing — the operation greedy
 probes thousands of times.  Removal recomputes only the affected
 events' CSR segments.
 
+:meth:`EvaluationEngine.provider_table` cuts the CSR down to one
+deployment's providers, grouped by event and padded into power-of-two
+width buckets.  :meth:`ProviderTable.marginal_totals` then prices a
+whole batch of orderings of that deployment at once — the Shapley
+sampling kernel — instead of walking a cursor through each ordering.
+
 The engine must agree with the reference metrics on every deployment up
 to float round-off (aggregation order differs); the property suite in
 ``tests/runtime`` checks this on randomized models.
@@ -32,7 +38,8 @@ to float round-off (aggregation order differs); the property suite in
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +49,12 @@ from repro.errors import UnknownIdError
 from repro.metrics.redundancy import DEFAULT_REDUNDANCY_CAP
 from repro.metrics.utility import UtilityWeights
 
-__all__ = ["EvaluationEngine", "DeploymentCursor", "engine_for"]
+__all__ = ["EvaluationEngine", "DeploymentCursor", "ProviderTable", "engine_for"]
 
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a ``(rows, nwords)`` uint64 bitset array."""
-    if words.size == 0:
-        return np.zeros(words.shape[0], dtype=np.int64)
-    as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape[0], -1)
-    return np.unpackbits(as_bytes, axis=1).sum(axis=1).astype(np.int64)
+    """Per-row popcount of a ``(..., nwords)`` uint64 bitset array."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 class EvaluationEngine:
@@ -269,6 +273,61 @@ class EvaluationEngine:
         """A mutable deployment with O(affected events) delta updates."""
         return DeploymentCursor(self, weights or UtilityWeights(), initial)
 
+    def provider_table(
+        self, monitor_ids: Sequence[str], weights: UtilityWeights | None = None
+    ) -> "ProviderTable":
+        """One deployment's providers, grouped by event, for batch pricing.
+
+        A monitor's local index is its position in ``monitor_ids``.
+        Events that no listed monitor evidences, or that no attack step
+        weighs, are left out: they give no ordering a marginal.  Each
+        kept event lands in the bucket of the smallest power of two that
+        holds its providers, so padding at most doubles the cells.
+        """
+        weights = weights or UtilityWeights()
+        size = len(monitor_ids)
+        local = np.full(len(self.monitor_ids), -1, dtype=np.int64)
+        for position, monitor_id in enumerate(monitor_ids):
+            index = self._midx.get(monitor_id)
+            if index is None:
+                raise UnknownIdError("monitor", monitor_id)
+            local[index] = position
+        n_events = len(self.event_ids)
+        event = np.repeat(np.arange(n_events, dtype=np.int64), np.diff(self._indptr))
+        owner = local[self._prov_monitor]
+        keep = (owner >= 0) & (self._alpha[event] > 0)
+        event, owner = event[keep], owner[keep]
+        evidence_of, fields_of = self._prov_weight[keep], self._prov_fields[keep]
+        count = np.bincount(event, minlength=n_events)
+        # CSR order keeps each event's providers contiguous.
+        slot = np.arange(event.size) - (np.cumsum(count) - count)[event]
+        width = np.zeros(n_events, dtype=np.int64)
+        present = count > 0
+        width[present] = 2 ** np.ceil(np.log2(count[present])).astype(np.int64)
+        buckets = []
+        for bucket_width in np.unique(width[present]):
+            events = np.flatnonzero(width == bucket_width)
+            chosen = width[event] == bucket_width
+            row, col = np.searchsorted(events, event[chosen]), slot[chosen]
+            monitors = np.full((events.size, bucket_width), size, dtype=np.int64)
+            monitors[row, col] = owner[chosen]
+            evidence = np.zeros((events.size, bucket_width))
+            evidence[row, col] = evidence_of[chosen]
+            fields = np.zeros((events.size, bucket_width, self.n_words), dtype=np.uint64)
+            fields[row, col] = fields_of[chosen]
+            buckets.append(
+                _WidthBucket(
+                    monitors=monitors,
+                    weights=evidence,
+                    fields=fields,
+                    alpha=self._alpha[events],
+                    inv_capturable=self._inv_capturable[events],
+                )
+            )
+        return ProviderTable(
+            size=size, weights=weights, buckets=tuple(buckets), entries=int(event.size)
+        )
+
 
 class DeploymentCursor:
     """A deployment under incremental mutation.
@@ -429,6 +488,87 @@ class DeploymentCursor:
             self._cnt[event] = new_cnt
             self._union[event] = new_union
             self._pop[event] = new_pop
+
+
+@dataclass(frozen=True)
+class _WidthBucket:
+    """The events whose deployed providers fit one padded width.
+
+    Row ``r`` is one event; column ``c`` its ``c``-th provider in CSR
+    order.  Padding cells name monitor ``size`` (one past the last local
+    index), with zero evidence weight and no fields.
+    """
+
+    monitors: np.ndarray  # (events, width) local monitor index
+    weights: np.ndarray  # (events, width) evidence weight
+    fields: np.ndarray  # (events, width, words) uint64 field bitsets
+    alpha: np.ndarray  # (events,)
+    inv_capturable: np.ndarray  # (events,)
+
+
+@dataclass(frozen=True)
+class ProviderTable:
+    """A deployment's coverage relation, laid out for batch pricing.
+
+    Built by :meth:`EvaluationEngine.provider_table`; small, immutable
+    and picklable.  ``entries`` counts real provider cells, ``cells``
+    the padded ones that :meth:`marginal_totals` evaluates per ordering.
+    """
+
+    size: int
+    weights: UtilityWeights
+    buckets: tuple[_WidthBucket, ...]
+    entries: int
+
+    @property
+    def cells(self) -> int:
+        """Padded provider cells, one pass of an ordering over the table."""
+        return sum(bucket.monitors.size for bucket in self.buckets)
+
+    def marginal_totals(self, orders: np.ndarray) -> np.ndarray:
+        """Each monitor's utility gain on joining, summed over orderings.
+
+        ``orders`` is an ``(n, size)`` array whose rows are permutations
+        of the local monitor indices, first to join first.  Entry ``i``
+        of the result is what walking a :class:`DeploymentCursor`
+        through every row credits monitor ``i`` with, up to float
+        summation order.  Per event, providers are sorted by when they
+        join; a running ``max`` of evidence weight gives the coverage
+        gains, the join rank against ``redundancy_cap`` the redundancy
+        gains, and a running ``|`` of field bitsets the richness gains.
+        """
+        n, size = len(orders), self.size
+        # joined[s, i]: the step at which monitor i joins ordering s;
+        # the padding monitor ``size`` joins after everyone.
+        joined = np.full((n, size + 1), size, dtype=np.int64)
+        np.put_along_axis(joined, orders, np.arange(size), axis=1)
+        w = self.weights
+        cap = w.redundancy_cap
+        owners: list[np.ndarray] = []
+        gains: list[np.ndarray] = []
+        for bucket in self.buckets:
+            order = np.argsort(joined[:, bucket.monitors], axis=-1)
+            evidence = np.take_along_axis(bucket.weights[None], order, axis=-1)
+            d_cov = np.diff(np.maximum.accumulate(evidence, axis=-1), axis=-1, prepend=0.0)
+            fields = np.take_along_axis(bucket.fields[None], order[..., None], axis=2)
+            pop = _popcount_rows(np.bitwise_or.accumulate(fields, axis=2))
+            d_pop = np.diff(pop, axis=-1, prepend=0)
+            alpha = bucket.alpha[:, None]
+            below_cap = np.arange(bucket.monitors.shape[1]) < cap
+            gains.append(
+                (w.coverage * alpha) * d_cov
+                + (w.redundancy / cap) * alpha * below_cap
+                + (w.richness * alpha * bucket.inv_capturable[:, None]) * d_pop
+            )
+            owners.append(np.take_along_axis(bucket.monitors[None], order, axis=-1))
+        if not owners:
+            return np.zeros(size)
+        totals = np.bincount(
+            np.concatenate([o.ravel() for o in owners]),
+            weights=np.concatenate([g.ravel() for g in gains]),
+            minlength=size + 1,
+        )
+        return totals[:size]
 
 
 #: Per-model engine singletons; keyed weakly so models can be collected.

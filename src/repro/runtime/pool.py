@@ -18,6 +18,11 @@ pool runs on one scoped to the call.  On top of that lifecycle:
   :class:`~repro.runtime.engine.EvaluationEngine`: the CSR coverage
   relation and field bitsets are built once in the parent, published
   once, and reconstructed zero-copy in each worker;
+* :class:`ModelParcel` ships a :class:`~repro.core.model.SystemModel`
+  to workers pickled once per map, and each worker unpickles it once
+  (a per-process memo keyed by the bytes' digest), so the worker's
+  :func:`~repro.runtime.engine.engine_for` builds one engine per map,
+  not one per task;
 * :func:`in_worker` is the one fork guard: inside a worker process
   every map runs in-process and an inherited ambient pool is invisible
   (:func:`resolve_pool`), so no pool is ever forked from a fork.
@@ -49,9 +54,11 @@ histogram (recorded by the pooled scheduler in
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import multiprocessing
 import os
+import pickle
 import threading
 from collections.abc import Iterator, Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +76,7 @@ from repro.runtime.engine import EvaluationEngine, engine_for
 __all__ = [
     "WORKERS_ENV",
     "EngineHandle",
+    "ModelParcel",
     "PersistentPool",
     "PoolError",
     "SharedArrays",
@@ -357,6 +365,49 @@ def attach_engine(handle: EngineHandle) -> EvaluationEngine:
     _ENGINE_CACHE[handle.arrays.segment] = engine
     obs.counter("pool.engine_attaches").inc()
     return engine
+
+
+# ----------------------------------------------------------------------
+# model parcels: pickled once per map, unpickled once per worker
+# ----------------------------------------------------------------------
+
+class ModelParcel:
+    """A model that crosses into pool workers as one reused pickle.
+
+    Put one parcel in every task of a map.  In-process (a serial map,
+    or one degraded to serial) the parcel is never pickled and
+    :attr:`model` is the caller's own object, with its cached engine.
+    Pickled, the parcel serializes the model once, on the first task,
+    and every later task reuses those bytes; a worker unpickles them
+    once (:func:`_unpack_parcel`) and the map's later tasks get the
+    same model back, so :func:`~repro.runtime.engine.engine_for` builds
+    one engine per worker per map.
+    """
+
+    __slots__ = ("model", "_wire")
+
+    def __init__(self, model: SystemModel) -> None:
+        self.model = model
+        self._wire: tuple[bytes, bytes] | None = None
+
+    def __reduce__(self) -> tuple:
+        if self._wire is None:
+            blob = pickle.dumps(self.model, protocol=pickle.HIGHEST_PROTOCOL)
+            self._wire = (hashlib.blake2b(blob, digest_size=16).digest(), blob)
+        return (_unpack_parcel, self._wire)
+
+
+#: The last model this process unpickled from a parcel, by digest of
+#: its bytes.  One entry: a worker serves one map at a time, and
+#: holding the model keeps its weakly cached engine alive.
+_PARCEL_MEMO: tuple[bytes, SystemModel] | None = None
+
+
+def _unpack_parcel(digest: bytes, blob: bytes) -> ModelParcel:
+    global _PARCEL_MEMO
+    if _PARCEL_MEMO is None or _PARCEL_MEMO[0] != digest:
+        _PARCEL_MEMO = (digest, pickle.loads(blob))
+    return ModelParcel(_PARCEL_MEMO[1])
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.analysis.contribution import (
     add_one_in,
     contribution_report,
@@ -11,6 +12,7 @@ from repro.analysis.contribution import (
 from repro.errors import MetricError
 from repro.metrics.utility import UtilityWeights, utility
 from repro.optimize.deployment import Deployment
+from repro.runtime.engine import engine_for
 
 WEIGHTS = UtilityWeights()
 
@@ -86,6 +88,15 @@ class TestShapley:
     def test_invalid_samples(self, toy_model):
         with pytest.raises(MetricError):
             shapley_values(toy_model, Deployment.full(toy_model), samples=0)
+
+    def test_traced_run_opens_one_shapley_span_around_the_chunk_map(self, toy_model):
+        deployment = Deployment.full(toy_model)
+        with obs.capture() as cap:
+            shapley_values(toy_model, deployment, WEIGHTS, samples=40, seed=2, workers=1)
+        (span,) = [s for s in cap.tracer.export_spans() if s["name"] == "analysis.shapley"]
+        table = engine_for(toy_model).provider_table(sorted(deployment.monitor_ids), WEIGHTS)
+        assert span["args"] == {"samples": 40, "chunks": 2, "monitors": 4, "cells": table.cells}
+        assert [child["name"] for child in span["children"]] == ["parallel.map"]
 
 
 class TestValuePerCost:

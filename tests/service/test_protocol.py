@@ -270,3 +270,43 @@ class TestServeCli:
         assert result["result"]["status"] == "succeeded"
         assert result["result"]["job_id"] == "cli-smoke"
         assert by_id(replies, "t1")[0]["ok"] is True
+
+    def test_c_level_writes_to_stdout_do_not_reach_the_reply_stream(self, model):
+        # HiGHS prints from C straight to file descriptor 1; a job that
+        # does the same must not put a non-reply line on stdout.
+        digest = model_digest(model)
+        lines = [
+            json.dumps({"op": "publish", "id": "p1", "model": model_to_dict(model)}),
+            submit_line(
+                "s1",
+                {"tenant": "t0", "kind": "max-utility", "model_ref": digest, "budget_fraction": 0.5},
+            ),
+            json.dumps({"op": "stats", "id": "t1"}),
+        ]
+        script = (
+            "import os, sys\n"
+            "from repro.service.service import SolveService\n"
+            "run_job = SolveService._run_job\n"
+            "def noisy(self, *args):\n"
+            "    os.write(1, b'noise\\n')\n"
+            "    return run_job(self, *args)\n"
+            "SolveService._run_job = noisy\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['serve', '--workers', '1']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input="\n".join(lines) + "\n",
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "noise" in proc.stderr
+        replies = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert all("id" in reply for reply in replies)
+        ack, result = by_id(replies, "s1")
+        assert result["result"]["status"] == "succeeded"
