@@ -144,7 +144,7 @@ def test_f3_scaling_monitors(benchmark, results_dir):
     benchmark.pedantic(solve_instance, args=(largest,), rounds=1, iterations=1)
 
 
-# --- Pool ablation: per-call maps vs. one persistent zero-copy pool ---
+# --- Pool ablation: per-call maps vs. one persistent pool with a model parcel ---
 
 POOL_MAPS = 6
 POOL_TASKS_PER_MAP = 8
@@ -160,11 +160,11 @@ def _percall_utility(task):
 
 
 def _pooled_utility(task):
-    """Zero-copy worker entry point: the task carries only a handle."""
-    from repro.runtime.pool import attach_engine
+    """Parcel worker entry point: the model is unpickled once per worker."""
+    from repro.runtime.engine import engine_for
 
-    handle, deployed = task
-    return attach_engine(handle).utility(deployed)
+    parcel, deployed = task
+    return engine_for(parcel.model).utility(deployed)
 
 
 def _sample_deployments(model, count):
@@ -179,17 +179,19 @@ def _sample_deployments(model, count):
 
 
 def test_f3_pool_ablation(results_dir):
-    """Persistent zero-copy pool vs. per-call maps on the largest model.
+    """Persistent pool with a model parcel vs. per-call maps on the largest model.
 
     A study is ``POOL_MAPS`` successive parallel maps over the 400-monitor
     model.  The per-call baseline spins up a fresh executor per map and
-    ships the full pickled model inside every task; the persistent path
-    publishes the evaluation engine to shared memory once and sends
-    zero-copy handles through one long-lived pool.  Utilities must be
-    identical and the persistent path at least 2x faster end to end.
+    ships the full pickled model inside every task, so every task builds
+    an engine; the persistent path sends one
+    :class:`~repro.runtime.pool.ModelParcel` through one long-lived pool,
+    so the model is pickled once and each worker unpickles it and builds
+    its engine once.  Utilities must be identical and the persistent path
+    at least 2x faster end to end.
     """
     from repro.runtime.parallel import parallel_map
-    from repro.runtime.pool import PersistentPool, publish_engine
+    from repro.runtime.pool import ModelParcel, PersistentPool
 
     model = make_model(MONITOR_COUNTS[-1])
     picks = _sample_deployments(model, POOL_MAPS * POOL_TASKS_PER_MAP)
@@ -211,11 +213,11 @@ def test_f3_pool_ablation(results_dir):
 
     started = time.perf_counter()
     with PersistentPool(workers=POOL_WORKERS) as pool:
-        handle = publish_engine(model, pool)
+        parcel = ModelParcel(model)
         pooled = [
             parallel_map(
                 _pooled_utility,
-                [(handle, deployed) for deployed in batch],
+                [(parcel, deployed) for deployed in batch],
                 pool=pool,
             )
             for batch in maps
@@ -232,7 +234,7 @@ def test_f3_pool_ablation(results_dir):
     note = (
         f"{POOL_MAPS} maps x {POOL_TASKS_PER_MAP} tasks @ "
         f"{MONITOR_COUNTS[-1]} monitors, {POOL_WORKERS} workers: "
-        f"per-call {baseline_seconds:.3f}s, persistent zero-copy "
+        f"per-call {baseline_seconds:.3f}s, persistent with parcel "
         f"{pooled_seconds:.3f}s ({speedup:.1f}x, identical utilities)"
     )
     publish(results_dir, "f3_pool_ablation", note)

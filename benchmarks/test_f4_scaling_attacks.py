@@ -132,7 +132,8 @@ def test_f4_parallel_bb_ablation(results_dir):
     """Serial vs. frontier-decomposed branch and bound, pooled 4-wide.
 
     For each instance the serial solver and the parallel solver (4
-    workers through one persistent pool, zero-copy matrix handles) must
+    workers through one persistent pool, the compiled form pickled in
+    each subtree task) must
     agree bit-for-bit on status, objective and the full assignment; the
     artifact records both node counts and wall times.  Serial and
     parallel node counts legitimately differ (subtrees cannot share

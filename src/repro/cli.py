@@ -167,8 +167,8 @@ def _command_pool(args: argparse.Namespace) -> contextlib.ExitStack:
     the command runs in this process: the ``--workers`` fan-out or,
     when that is serial, each solve's ``--bb-workers`` subtree search.
     The executor starts on first use, so a serial command never forks;
-    the pool is closed *and* uninstalled on exit, so shared segments
-    never outlive the command.
+    the pool is closed *and* uninstalled on exit, so no worker process
+    outlives the command.
     """
     workers = resolve_workers(getattr(args, "workers", None))
     if workers == 1:

@@ -127,11 +127,9 @@ RNG_ALLOWLIST: frozenset[str] = frozenset()
 PARALLEL_MAP_NAMES: frozenset[str] = frozenset({"parallel_map"})
 
 #: Modules allowed to construct ``multiprocessing.shared_memory``
-#: segments directly (SHM-SAFE).  Keeping construction inside
-#: :mod:`repro.runtime.pool` is what pins every segment's lifetime to a
-#: :class:`~repro.runtime.pool.PersistentPool` — a handle that crosses a
-#: ``parallel_map`` boundary unpinned can outlive its segment (stale
-#: attach) or survive the run (a leak in ``/dev/shm``).
+#: segments directly (SHM-SAFE).  None does today: payloads cross to
+#: workers pickled in their tasks.  The worker-lifecycle module is the
+#: one place a segment, with its unlink obligation, could belong.
 SHM_ALLOWLIST: frozenset[str] = frozenset({"repro.runtime.pool"})
 
 #: The instrumented-hot-path registry: module -> qualnames that must

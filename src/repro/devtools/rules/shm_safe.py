@@ -1,17 +1,14 @@
-"""SHM-SAFE: shared-memory segments are constructed only by the pool.
+"""SHM-SAFE: no shared-memory segment outside the pool module.
 
 A ``multiprocessing.shared_memory.SharedMemory`` segment is a named
 OS object with manual lifetime: whoever creates one owns an unlink
-obligation, and a handle that crosses a ``parallel_map`` boundary
-without that lifetime pinned to a :class:`~repro.runtime.pool.
-PersistentPool` fails in one of two silent ways — the segment is
-unlinked while workers still hold the handle (stale attach, a
-``PoolError`` at best), or never unlinked at all (a leak in
-``/dev/shm`` that survives the run).  :mod:`repro.runtime.pool` is the
-one module that owns this discipline: ``publish_arrays`` creates,
-``PersistentPool.share`` pins, ``close`` unlinks, and the tracker
-double-unlink pitfall is handled in exactly one place.  Everyone else
-publishes through the pool and attaches through its handles.
+obligation, and a handle that crosses a ``parallel_map`` boundary can
+outlive its segment (a stale attach) or leave it behind (a leak in
+``/dev/shm`` that survives the run).  The program creates none: every
+payload crosses to workers pickled inside its task, and a model rides
+in a :class:`~repro.runtime.pool.ModelParcel`.  This rule keeps it
+that way; :mod:`repro.runtime.pool`, which owns the worker lifecycle,
+is the only module a segment could be built in.
 """
 
 from __future__ import annotations
@@ -41,8 +38,7 @@ class ShmSafeRule(Rule):
     rule_id = "SHM-SAFE"
     description = (
         "no direct shared_memory segment construction outside "
-        "repro.runtime.pool; publish via PersistentPool.share so segment "
-        "lifetime stays pinned to a pool"
+        "repro.runtime.pool; payloads cross to workers pickled in their tasks"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
@@ -56,7 +52,7 @@ class ShmSafeRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"{name}() constructs an unpinned shared-memory segment; "
-                    "publish through repro.runtime.pool (PersistentPool.share / "
-                    "publish_arrays) so unlink responsibility stays with the pool",
+                    f"{name}() constructs a shared-memory segment outside "
+                    "repro.runtime.pool; send the payload pickled in the task "
+                    "(a model in a ModelParcel) so nothing can outlive the run",
                 )

@@ -61,6 +61,18 @@ class InfeasibleError(SolverError):
     """The optimization problem admits no feasible solution."""
 
 
+class LimitReachedError(SolverError):
+    """A time or node limit stopped the solve before it found a feasible point.
+
+    Not a verdict on the model: a longer solve may well find one.
+    ``nodes_explored`` is what the backend searched before it stopped.
+    """
+
+    def __init__(self, message: str, nodes_explored: int = 0):
+        super().__init__(message)
+        self.nodes_explored = nodes_explored
+
+
 class UnboundedError(SolverError):
     """The optimization problem is unbounded in the objective direction."""
 

@@ -14,10 +14,9 @@ Three layers every hot path in the repository leans on:
 * :mod:`repro.runtime.parallel` — an order-preserving process-pool map
   with deterministic seed spawning, per-task timeouts and retries
   (:mod:`repro.runtime.resilience`), and a graceful serial fallback;
-* :mod:`repro.runtime.pool` — persistent worker pools with zero-copy
-  shared-memory publication (build the engine's arrays once, map many
-  handle-based tasks against them), model parcels (pickled once per
-  map, unpickled once per worker) and explicit lifecycle;
+* :mod:`repro.runtime.pool` — persistent worker pools with explicit
+  lifecycle, and model parcels (pickled once per map, unpickled once
+  per worker);
 * :mod:`repro.runtime.faults` — the deterministic fault-injection
   harness the ``tests/faults`` suite drives the recovery paths with.
 
@@ -41,18 +40,10 @@ from repro.runtime.parallel import (
     spawn_seeds,
 )
 from repro.runtime.pool import (
-    EngineHandle,
     ModelParcel,
     PersistentPool,
     PoolError,
-    SharedArrays,
-    SharedArraysHandle,
     active_pool,
-    attach_arrays,
-    attach_engine,
-    detach_all,
-    publish_arrays,
-    publish_engine,
     use_pool,
 )
 from repro.runtime.resilience import (
@@ -65,7 +56,6 @@ from repro.runtime.resilience import (
 __all__ = [
     "DeploymentCache",
     "DeploymentCursor",
-    "EngineHandle",
     "EvaluationEngine",
     "MapReport",
     "ModelParcel",
@@ -73,23 +63,16 @@ __all__ = [
     "PoolError",
     "ProviderTable",
     "RetryPolicy",
-    "SharedArrays",
-    "SharedArraysHandle",
     "TaskFailure",
     "TaskFailureError",
     "WORKERS_ENV",
     "active_pool",
-    "attach_arrays",
-    "attach_engine",
     "cache_for",
     "cached_breakdown",
     "cached_utility",
-    "detach_all",
     "engine_for",
     "evaluation_key",
     "parallel_map",
-    "publish_arrays",
-    "publish_engine",
     "resolve_workers",
     "spawn_generators",
     "spawn_seeds",

@@ -75,7 +75,7 @@ class EvaluationEngine:
         ) as sp:
             self._build_field_universe(model)
             self._build_csr(model)
-            self._build_monitor_views(model)
+            self._build_monitor_views()
             self._build_alpha(model)
         obs.counter("engine.builds").inc()
         obs.histogram("engine.build_seconds").observe(sp.duration)
@@ -135,7 +135,7 @@ class EvaluationEngine:
             np.vstack(prov_fields) if prov_fields else np.zeros((0, self.n_words), dtype=np.uint64)
         )
 
-    def _build_monitor_views(self, model: SystemModel) -> None:
+    def _build_monitor_views(self) -> None:
         # Per monitor: the events it evidences (as event indices), its
         # weight there, and its field bitset — the delta-update working
         # set of the cursor.

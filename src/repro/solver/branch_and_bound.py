@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.errors import SolverError, UnboundedError
+from repro.errors import LimitReachedError, SolverError, UnboundedError
 from repro.solver.lp import LpRelaxation, LpResult
 from repro.solver.model import MilpModel, Solution, SolutionStatus, StandardForm
 
@@ -364,10 +364,18 @@ def _best_first(
 def _solution(model: MilpModel, search: _Search | None, backend: str, stopped: str) -> Solution:
     """The :class:`Solution` a finished search reports.
 
-    ``search is None`` is an infeasible root (one node).  Without an
-    incumbent the status is ``INFEASIBLE``; a ``"limit"`` stop leaves
-    the incumbent ``FEASIBLE``; any other stop proves it ``OPTIMAL``.
+    ``search is None`` is an infeasible root (one node).  A ``"limit"``
+    stop leaves the incumbent ``FEASIBLE``, and raises
+    :class:`~repro.errors.LimitReachedError` when there is none; any
+    other stop proves the incumbent ``OPTIMAL``, or the model
+    ``INFEASIBLE`` when there is none.
     """
+    if search is not None and search.incumbent_x is None and stopped == "limit":
+        raise LimitReachedError(
+            f"{backend} hit its node or time limit after {search.nodes} nodes "
+            f"without a feasible point for model {model.name!r}",
+            search.nodes,
+        )
     if search is None or search.incumbent_x is None:
         nodes = 1 if search is None else search.nodes
         return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, backend, nodes)
@@ -402,7 +410,8 @@ def solve_branch_and_bound(
         The MILP to solve.
     time_limit:
         Wall-clock seconds after which the best incumbent is returned
-        with status ``FEASIBLE`` (or ``INFEASIBLE`` if none was found).
+        with status ``FEASIBLE`` (:class:`~repro.errors.LimitReachedError`
+        is raised if none was found).
     max_nodes:
         Hard cap on explored nodes, same fallback behaviour.
     gap:
@@ -435,12 +444,12 @@ def solve_branch_and_bound(
             stopped = _explore(
                 search, gap=gap, node_budget=max_nodes, deadline=deadline, lp_cache=lp_cache
             )
+        sp.set(
+            nodes=1 if search is None else search.nodes,
+            lp_pairs=0 if search is None else search.lp_pairs,
+            lp_unused=0 if search is None else search.lp_unused,
+        )
         solution = _solution(model, search, _BACKEND, stopped)
-    sp.set(
-        nodes=solution.nodes_explored,
-        lp_pairs=0 if search is None else search.lp_pairs,
-        lp_unused=0 if search is None else search.lp_unused,
-    )
     obs.counter("solver.solves").inc()
     obs.counter("solver.nodes").inc(solution.nodes_explored)
     obs.histogram("solver.solve_seconds").observe(sp.duration)

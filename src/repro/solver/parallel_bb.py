@@ -20,11 +20,10 @@ buys parallelism without giving up the determinism contract:
    dispatched in a **seeded order** (deterministic shuffle of the
    frontier) and fan out over
    :func:`~repro.runtime.parallel.parallel_map`, inheriting its retry,
-   respawn, and serial-degrade machinery; with a
-   :class:`~repro.runtime.pool.PersistentPool`, the compiled
-   :class:`~repro.solver.model.StandardForm` is published once to
-   shared memory and tasks carry a zero-copy handle instead of the
-   matrices.
+   respawn, and serial-degrade machinery.  Every task carries the
+   compiled :class:`~repro.solver.model.StandardForm` itself, pickled
+   with the task, with or without a
+   :class:`~repro.runtime.pool.PersistentPool`.
 3. **Merge (commutative).**  The final incumbent is the minimum under
    the total order ``(objective, tiebreak index)`` over subtree
    results plus the phase-1 incumbent; node counts are summed.  Both
@@ -51,17 +50,11 @@ from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as _sp
 
 from repro import obs
 from repro.runtime import faults
 from repro.runtime.parallel import parallel_map, spawn_seeds
-from repro.runtime.pool import (
-    PersistentPool,
-    SharedArraysHandle,
-    attach_arrays,
-    resolve_pool,
-)
+from repro.runtime.pool import PersistentPool, resolve_pool
 from repro.solver.branch_and_bound import (
     DEFAULT_GAP,
     _explore,
@@ -90,104 +83,17 @@ _DISPATCH_SEED = 0
 
 
 @dataclass(frozen=True)
-class _FormHandle:
-    """Zero-copy ticket for a published :class:`StandardForm`.
-
-    Each constraint matrix ships as its CSR triple
-    (``<name>.data/.indices/.indptr`` entries in the array set); its
-    column count is the length of ``c`` and its row count that of the
-    matching rhs vector.
-    """
-
-    arrays: SharedArraysHandle
-    objective_constant: float
-    maximize: bool
-
-
-def _publish_form(form: StandardForm, pool: PersistentPool) -> _FormHandle:
-    """Publish the compiled matrices once into ``pool``'s shared memory.
-
-    Each CSR matrix ships as its three flat arrays — the nnz-proportional
-    payload; at catalog scale a densified block would be a few hundred
-    megabytes instead of a few.
-    """
-    arrays: dict[str, np.ndarray] = {
-        "c": form.c,
-        "b_ub": form.b_ub,
-        "b_eq": form.b_eq,
-        "lower": form.lower,
-        "upper": form.upper,
-        "integrality": form.integrality,
-    }
-    for name, matrix in (("A_ub", form.A_ub), ("A_eq", form.A_eq)):
-        arrays[f"{name}.data"] = matrix.data
-        arrays[f"{name}.indices"] = matrix.indices
-        arrays[f"{name}.indptr"] = matrix.indptr
-    handle = pool.share(arrays)
-    return _FormHandle(
-        arrays=handle,
-        objective_constant=form.objective_constant,
-        maximize=form.maximize,
-    )
-
-
-#: Per-process reconstructed forms, keyed by segment: many subtree
-#: tasks, one attach.
-_FORM_CACHE: dict[str, StandardForm] = {}
-
-
-def _attach_form(handle: _FormHandle) -> StandardForm:
-    cached = _FORM_CACHE.get(handle.arrays.segment)
-    if cached is not None:
-        return cached
-    arrays = attach_arrays(handle.arrays)
-    num_columns = arrays["c"].shape[0]
-    matrices: dict[str, _sp.csr_matrix] = {}
-    for name, rhs in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
-        # Rebuild CSR over the read-only shared views without copying:
-        # solvers only ever read the matrices, and the uniform index
-        # dtype from compile keeps scipy from unifying (= copying).
-        csr = _sp.csr_matrix(
-            (
-                arrays[f"{name}.data"],
-                arrays[f"{name}.indices"],
-                arrays[f"{name}.indptr"],
-            ),
-            shape=(arrays[rhs].shape[0], num_columns),
-            copy=False,
-        )
-        csr.has_sorted_indices = True
-        csr.has_canonical_format = True
-        matrices[name] = csr
-    form = StandardForm(
-        c=arrays["c"],
-        A_ub=matrices["A_ub"],
-        b_ub=arrays["b_ub"],
-        A_eq=matrices["A_eq"],
-        b_eq=arrays["b_eq"],
-        lower=arrays["lower"],
-        upper=arrays["upper"],
-        integrality=arrays["integrality"],
-        objective_constant=handle.objective_constant,
-        maximize=handle.maximize,
-    )
-    _FORM_CACHE[handle.arrays.segment] = form
-    return form
-
-
-@dataclass(frozen=True)
 class _SubtreeTask:
     """One frontier subtree, self-contained for a worker process.
 
-    ``form`` is either the :class:`StandardForm` itself (no persistent
-    pool; pickled per task) or a :class:`_FormHandle` (zero-copy).
-    ``subtree`` is the deterministic tiebreak index: the node's rank in
-    the ``(bound, heap counter)``-sorted frontier, independent of the
-    seeded dispatch order.
+    ``form`` is the compiled :class:`StandardForm`, pickled with the
+    task.  ``subtree`` is the deterministic tiebreak index: the node's
+    rank in the ``(bound, heap counter)``-sorted frontier, independent
+    of the seeded dispatch order.
     """
 
     subtree: int
-    form: StandardForm | _FormHandle
+    form: StandardForm
     bound: float
     lower: np.ndarray
     upper: np.ndarray
@@ -222,7 +128,7 @@ def _run_subtree(task: _SubtreeTask) -> _SubtreeResult:
     """
     if task.plan is not None:
         task.plan.fire(f"solver.parallel_bb.subtree[{task.subtree}]")
-    form = task.form if isinstance(task.form, StandardForm) else _attach_form(task.form)
+    form = task.form
     relaxation = LpRelaxation(form.c, form.A_ub, form.b_ub, form.A_eq, form.b_eq)
     search = _Search(form, relaxation, task.incumbent_obj, task.incumbent_x, task.bound_floor)
     # Seed the heap with the node exactly as it sat in the phase-1
@@ -270,9 +176,9 @@ def solve_parallel_branch_and_bound(
         :func:`~repro.runtime.parallel.resolve_workers`).  A pure
         throughput knob: results are bit-identical at any value.
     pool:
-        Optional :class:`~repro.runtime.pool.PersistentPool`; when
-        given, the compiled matrices are published once to shared
-        memory and subtree tasks carry zero-copy handles.
+        Optional :class:`~repro.runtime.pool.PersistentPool` to run
+        the subtree tasks on (else the ambient pool, else one scoped
+        to the call).
     warm_start, known_bound, lp_cache:
         Exactly as in the serial solver; the cache serves phase 1 only
         (worker processes cannot share a parent-side dict).
@@ -338,14 +244,11 @@ def _solve(
     # independent of the seeded dispatch shuffle below.
     frontier = sorted(search.heap, key=lambda node: (node[0], node[1]))
     pool = resolve_pool(pool)
-    form_ref: StandardForm | _FormHandle = form
-    if pool is not None:
-        form_ref = _publish_form(form, pool)
     plan = faults.active_plan()
     tasks = [
         _SubtreeTask(
             subtree=rank,
-            form=form_ref,
+            form=form,
             bound=bound,
             lower=lower,
             upper=upper,

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import obs
-from repro.errors import SolverError, UnboundedError
+from repro.errors import LimitReachedError, SolverError, UnboundedError
 from repro.solver.model import MilpModel, Solution, SolutionStatus
 
 __all__ = ["solve_scipy_milp"]
@@ -28,8 +28,9 @@ def solve_scipy_milp(
     """Solve ``model`` with HiGHS via scipy.
 
     ``time_limit`` maps to HiGHS's wall-clock limit and ``max_nodes`` to
-    its node limit; when either triggers, the best incumbent (if any) is
-    returned with status ``FEASIBLE``.  ``gap`` maps to HiGHS's relative
+    its node limit; when either triggers, the best incumbent is returned
+    with status ``FEASIBLE``, and :class:`~repro.errors.LimitReachedError`
+    is raised when there is none.  ``gap`` maps to HiGHS's relative
     MIP gap — an incumbent proven within the gap reports ``OPTIMAL``.
     """
     with obs.span("solver.scipy_milp", model=model.name) as sp:
@@ -80,7 +81,11 @@ def _solve(
         raise UnboundedError(f"model {model.name!r} is unbounded")
     if result.x is None:
         if result.status == 1:
-            return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "scipy-milp")
+            raise LimitReachedError(
+                f"scipy milp hit its limit without a feasible point for model "
+                f"{model.name!r}: {result.message}",
+                int(result.mip_node_count or 0),
+            )
         raise SolverError(f"scipy milp failed with status {result.status}: {result.message}")
 
     x = np.asarray(result.x, dtype=float)

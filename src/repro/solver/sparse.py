@@ -53,7 +53,7 @@ def csr_from_rows(
         return sp.csr_matrix((0, num_columns), dtype=np.float64)
     # A uniform int32 index dtype matters: mixing int32 indices with an
     # int64 indptr makes scipy unify (and silently copy) on every
-    # construction, including the zero-copy shared-memory reattach.
+    # construction from these arrays.
     indptr = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum([cols.size for cols, _ in rows], out=indptr[1:])
     if indptr[-1] == 0:

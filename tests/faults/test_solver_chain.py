@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.errors import InfeasibleError, SolverError
+from repro.errors import FallbackExhaustedError, InfeasibleError, LimitReachedError, SolverError
 from repro.metrics.cost import Budget
 from repro.optimize.problem import MaxUtilityProblem
 from repro.runtime import faults
@@ -125,18 +125,15 @@ class TestChainControls:
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(25.0)
 
-    def test_node_budget_degrades_instead_of_erroring(self, tmp_path):
+    def test_node_budget_without_incumbent_fails_backend(self, tmp_path):
         # Starve scipy out of the chain, then give branch-and-bound a
-        # node budget too small to prove optimality: the chain must
-        # still answer (FEASIBLE or INFEASIBLE), never raise.
+        # node budget too small to find a feasible point: the limit stop
+        # is a failed attempt, never an INFEASIBLE verdict on the model.
         plan = _plan(tmp_path, {"solver.scipy": FaultSpec(kind="error", times=-1)})
-        with faults.inject(plan):
-            solution = solve(_knapsack(), "fallback", max_nodes=1)
-        assert solution.attempts[-1].backend == "branch-and-bound"
-        assert solution.status in (
-            SolutionStatus.OPTIMAL,
-            SolutionStatus.FEASIBLE,
-            SolutionStatus.INFEASIBLE,
+        with faults.inject(plan), pytest.raises(FallbackExhaustedError) as exhausted:
+            solve(_knapsack(), "fallback", max_nodes=1)
+        assert exhausted.value.failures[-1].startswith(
+            f"branch-and-bound: {LimitReachedError.__name__}:"
         )
 
     def test_presolve_once_before_the_chain_lifts_back(self):

@@ -9,7 +9,8 @@ from repro.analysis.contribution import SHAPLEY_CHUNK, shapley_values
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.deployment import Deployment
 from repro.runtime.engine import engine_for
-from repro.runtime.pool import ModelParcel
+from repro.runtime.parallel import parallel_map, spawn_generators
+from repro.runtime.pool import ModelParcel, PersistentPool
 from tests.conftest import build_toy_builder
 
 
@@ -52,3 +53,31 @@ def test_pooled_shapley_builds_at_most_one_engine_per_worker():
     counters = cap.registry.snapshot()["counters"]
     assert counters["parallel.tasks"] == chunks
     assert counters.get("engine.builds", 0) <= 2
+
+
+def _sample_deployments(model, count: int) -> list[frozenset[str]]:
+    """Seeded monitor subsets spanning empty to full."""
+    ids = sorted(model.monitors)
+    picks: list[frozenset[str]] = [frozenset(), frozenset(ids)]
+    for rng in spawn_generators(7, count - 2):
+        keep = rng.random(len(ids)) < rng.uniform(0.2, 0.8)
+        picks.append(frozenset(m for m, k in zip(ids, keep) if k))
+    return picks
+
+
+def _parcel_utility(task):
+    """Worker entry point: evaluate a deployment on the parcel's model."""
+    parcel, deployed = task
+    return engine_for(parcel.model).utility(deployed)
+
+
+def test_pool_workers_compute_the_in_process_utilities(web_model):
+    oracle = engine_for(web_model)
+    deployments = _sample_deployments(web_model, count=8)
+    parcel = ModelParcel(web_model)
+    with obs.capture() as cap, PersistentPool(workers=2) as pool:
+        results = parallel_map(_parcel_utility, [(parcel, d) for d in deployments], pool=pool)
+    assert results == [oracle.utility(d) for d in deployments]
+    counters = cap.registry.snapshot()["counters"]
+    assert counters["pool.created"] == 1.0
+    assert "parallel.degraded_maps" not in counters

@@ -2,7 +2,6 @@
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from repro.runtime.parallel import (
     spawn_generators,
     spawn_seeds,
 )
-from repro.runtime.pool import SEGMENT_PREFIX, PersistentPool, use_pool
+from repro.runtime.pool import PersistentPool, use_pool
 from repro.runtime.resilience import RetryPolicy
 
 
@@ -39,11 +38,6 @@ def _pid(_):
 def _nested_pids(_):
     """An outer task that runs a 2-worker map of its own."""
     return os.getpid(), parallel_map(_pid, range(4), workers=2)
-
-
-def _shm_segments() -> set[str]:
-    root = Path("/dev/shm")
-    return {p.name for p in root.glob(f"{SEGMENT_PREFIX}-*")} if root.is_dir() else set()
 
 
 class TestResolveWorkers:
@@ -143,7 +137,6 @@ class TestNestedForkGuard:
     POLICY = RetryPolicy(timeout=30)
 
     def _assert_nested_maps_ran_in_process(self, run):
-        before = _shm_segments()
         with obs.capture() as cap:
             outer = run()
         assert len(outer) == 2
@@ -151,7 +144,6 @@ class TestNestedForkGuard:
             assert worker_pid != os.getpid()
             assert inner_pids == [worker_pid] * 4
         assert cap.registry.counter("parallel.nested_serial").value == 2.0
-        assert _shm_segments() == before
 
     def test_nested_map_without_a_pool(self):
         self._assert_nested_maps_ran_in_process(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SolverError, UnboundedError
+from repro.errors import LimitReachedError, SolverError, UnboundedError
 from repro.solver import BACKENDS as BACKEND_NAMES
 from repro.solver import MilpModel, ObjectiveSense, SolutionStatus, solve
 from repro.solver.lp import solve_lp
@@ -159,13 +159,17 @@ class TestBackendSpecifics:
         solution = solve(knapsack_model(), "branch-and-bound")
         assert solution.nodes_explored >= 1
 
-    def test_bnb_time_limit_returns_incumbent_or_infeasible(self):
-        solution = solve(knapsack_model(), "branch-and-bound", time_limit=1e-9)
-        assert solution.status in (
-            SolutionStatus.OPTIMAL,  # may finish within the first node
-            SolutionStatus.FEASIBLE,
-            SolutionStatus.INFEASIBLE,
-        )
+    def test_bnb_time_limit_returns_incumbent_or_limit_stop(self):
+        # The knapsack is feasible, so a limit stop is never INFEASIBLE.
+        try:
+            solution = solve(knapsack_model(), "branch-and-bound", time_limit=1e-9)
+        except LimitReachedError as exc:
+            assert exc.nodes_explored >= 1
+        else:
+            assert solution.status in (
+                SolutionStatus.OPTIMAL,  # may finish within the first node
+                SolutionStatus.FEASIBLE,
+            )
 
     def test_empty_model_solves(self):
         model = MilpModel()

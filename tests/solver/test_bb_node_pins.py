@@ -17,11 +17,14 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.errors import LimitReachedError
 from repro.solver.branch_and_bound import solve_branch_and_bound
 from tests.conftest import random_binary_model as random_model
 from tests.conftest import wide_knapsack_model as knapsack
 
 OPT, FEAS, INF = "OPTIMAL", "FEASIBLE", "INFEASIBLE"
+#: A limit stop with no incumbent (:class:`~repro.errors.LimitReachedError`).
+LIMIT = "LIMIT"
 
 #: seed -> (status, nodes_explored) of a cold default solve.
 COLD = {
@@ -41,15 +44,15 @@ COLD = {
 #: check fires on the fourth pop, so truncated searches report 4.
 TRUNCATED = {
     0: (INF, 1), 1: (OPT, 1), 2: (OPT, 3), 3: (OPT, 1), 4: (OPT, 3),
-    5: (INF, 1), 6: (OPT, 1), 7: (INF, 1), 8: (OPT, 3), 9: (INF, 4),
-    10: (INF, 4), 11: (INF, 4), 12: (INF, 4), 13: (INF, 3), 14: (INF, 1),
-    15: (INF, 4), 16: (OPT, 1), 17: (INF, 4), 18: (INF, 4), 19: (INF, 1),
-    20: (INF, 4), 21: (INF, 4), 22: (INF, 4), 23: (INF, 1), 24: (OPT, 1),
-    25: (OPT, 1), 26: (INF, 4), 27: (INF, 1), 28: (INF, 1), 29: (FEAS, 4),
+    5: (INF, 1), 6: (OPT, 1), 7: (INF, 1), 8: (OPT, 3), 9: (LIMIT, 4),
+    10: (LIMIT, 4), 11: (LIMIT, 4), 12: (LIMIT, 4), 13: (INF, 3), 14: (INF, 1),
+    15: (LIMIT, 4), 16: (OPT, 1), 17: (LIMIT, 4), 18: (LIMIT, 4), 19: (INF, 1),
+    20: (LIMIT, 4), 21: (LIMIT, 4), 22: (LIMIT, 4), 23: (INF, 1), 24: (OPT, 1),
+    25: (OPT, 1), 26: (LIMIT, 4), 27: (INF, 1), 28: (INF, 1), 29: (FEAS, 4),
     30: (OPT, 1), 31: (INF, 1), 32: (FEAS, 4), 33: (FEAS, 4), 34: (INF, 1),
-    35: (INF, 4), 36: (INF, 1), 37: (INF, 1), 38: (INF, 1), 39: (INF, 1),
-    40: (OPT, 1), 41: (INF, 4), 42: (INF, 1), 43: (INF, 1), 44: (OPT, 1),
-    45: (INF, 4), 46: (INF, 1), 47: (INF, 1), 48: (INF, 3), 49: (OPT, 3),
+    35: (LIMIT, 4), 36: (INF, 1), 37: (INF, 1), 38: (INF, 1), 39: (INF, 1),
+    40: (OPT, 1), 41: (LIMIT, 4), 42: (INF, 1), 43: (INF, 1), 44: (OPT, 1),
+    45: (LIMIT, 4), 46: (INF, 1), 47: (INF, 1), 48: (INF, 3), 49: (OPT, 3),
 }
 
 #: seed -> nodes_explored when the instance's own optimum is passed as
@@ -64,6 +67,13 @@ def _outcome(solution) -> tuple[str, int]:
     return solution.status.name, solution.nodes_explored
 
 
+def _truncated_outcome(seed: int) -> tuple[str, int]:
+    try:
+        return _outcome(solve_branch_and_bound(random_model(seed), max_nodes=3))
+    except LimitReachedError as exc:
+        return LIMIT, exc.nodes_explored
+
+
 @pytest.fixture(scope="module")
 def optima():
     return {seed: solve_branch_and_bound(random_model(seed)) for seed in KNOWN_BOUND}
@@ -76,8 +86,7 @@ def test_cold_node_counts_are_pinned():
 
 def test_max_nodes_truncation_is_pinned():
     for seed, expected in TRUNCATED.items():
-        solution = solve_branch_and_bound(random_model(seed), max_nodes=3)
-        assert _outcome(solution) == expected, seed
+        assert _truncated_outcome(seed) == expected, seed
 
 
 def test_warm_start_is_pinned(optima):

@@ -27,7 +27,7 @@ import types
 import pytest
 
 from repro import obs
-from repro.errors import SolverError
+from repro.errors import LimitReachedError, SolverError
 from repro.solver import MilpModel, ObjectiveSense, SolutionStatus
 from repro.solver import branch_and_bound
 from repro.solver.branch_and_bound import _explore, _root, solve_branch_and_bound
@@ -98,10 +98,10 @@ class TestStopsJoinTheHelper:
 
     def test_node_budget_stop(self, slow_helper):
         before = threading.active_count()
-        with obs.capture() as cap:
-            solution = solve_branch_and_bound(random_binary_model(MODEL_SEED), max_nodes=2)
+        with obs.capture() as cap, pytest.raises(LimitReachedError) as stop:
+            solve_branch_and_bound(random_binary_model(MODEL_SEED), max_nodes=2)
         assert threading.active_count() == before
-        assert solution.nodes_explored == 3
+        assert stop.value.nodes_explored == 3
         assert _bb_span_args(cap)["lp_unused"] == 1
 
     def test_deadline_stop(self, slow_helper, monkeypatch):
@@ -112,10 +112,10 @@ class TestStopsJoinTheHelper:
             branch_and_bound, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
         )
         before = threading.active_count()
-        with obs.capture() as cap:
-            solution = solve_branch_and_bound(random_binary_model(MODEL_SEED), time_limit=2.5)
+        with obs.capture() as cap, pytest.raises(LimitReachedError) as stop:
+            solve_branch_and_bound(random_binary_model(MODEL_SEED), time_limit=2.5)
         assert threading.active_count() == before
-        assert solution.nodes_explored == 3
+        assert stop.value.nodes_explored == 3
         assert _bb_span_args(cap)["lp_unused"] == 1
 
     def test_frontier_stop(self, slow_helper):
@@ -141,8 +141,10 @@ class TestStopsJoinTheHelper:
 
 class TestSiblingErrors:
     def test_unused_sibling_error_does_not_surface(self, failing_helper):
-        solution = solve_branch_and_bound(random_binary_model(MODEL_SEED), max_nodes=2)
-        assert solution.nodes_explored == 3
+        # The node budget, not the injected sibling failure, ends the solve.
+        with pytest.raises(LimitReachedError) as stop:
+            solve_branch_and_bound(random_binary_model(MODEL_SEED), max_nodes=2)
+        assert stop.value.nodes_explored == 3
 
     def test_used_sibling_error_surfaces(self, failing_helper):
         with pytest.raises(SolverError, match="injected sibling failure"):

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.errors import LimitReachedError
 from repro.runtime.faults import FaultPlan, FaultSpec, inject
 from repro.runtime.pool import PersistentPool, use_pool
 from repro.solver import (
@@ -81,7 +82,7 @@ class TestWorkerCountInvariance:
         """Objectives, values, AND node accounting never move with workers.
 
         Workers 2 and 4 share one persistent pool, so this also pins the
-        zero-copy shared-memory task path against the in-process path.
+        pooled task path against the in-process path.
         """
         for seed in SEEDS:
             reference = solve_parallel_branch_and_bound(random_model(seed), workers=1)
@@ -186,12 +187,11 @@ class TestEdgeCases:
         assert np.isnan(solution.objective)
         assert solution.values == {}
 
-    def test_node_budget_truncation_degrades_not_errors(self):
+    def test_node_budget_truncation_without_incumbent_raises(self):
         seed = _first_decomposed_seed()
-        solution = solve_parallel_branch_and_bound(
-            random_model(seed), workers=1, max_nodes=1
-        )
-        assert solution.status in (SolutionStatus.FEASIBLE, SolutionStatus.INFEASIBLE)
+        with pytest.raises(LimitReachedError) as stop:
+            solve_parallel_branch_and_bound(random_model(seed), workers=1, max_nodes=1)
+        assert stop.value.nodes_explored == 2
 
     def test_backend_stamp(self):
         solution = solve_parallel_branch_and_bound(random_model(1), workers=1)
