@@ -22,6 +22,27 @@ from repro.casestudy import enterprise_web_service
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Whether this session selected every benchmark in this directory;
+#: only such a run may overwrite ``results/registry_snapshot.json``.
+_SELECTED_EVERY_TEST = pytest.StashKey[bool]()
+
+
+def pytest_deselected(items):
+    """``-k``, ``-m``, ``--deselect`` and ``--lf`` all report here."""
+    if items:
+        items[0].config.stash[_SELECTED_EVERY_TEST] = False
+
+
+def pytest_collection_finish(session):
+    config = session.config
+    if not config.stash.get(_SELECTED_EVERY_TEST, True):
+        return
+    collected = {Path(str(item.path)) for item in session.items}
+    every_file = set(Path(__file__).parent.glob("test_*.py"))
+    config.stash[_SELECTED_EVERY_TEST] = collected == every_file and not any(
+        "::" in arg for arg in config.args
+    )
+
 
 @pytest.fixture(scope="session")
 def web_model():
@@ -53,19 +74,23 @@ def publish_json(results_dir: Path, experiment: str, payload: dict) -> None:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def registry_snapshot():
+def registry_snapshot(request):
     """Persist the ambient metrics registry after the benchmark session.
 
     Every solver/engine/cache/simulation call in the session increments
     the ambient registry; dumping it once at teardown gives a free
     aggregate view (solve-time histograms, cache hit rates, node
     counts) next to the per-experiment JSON.  ``repro stats
-    benchmarks/results/registry_snapshot.json`` renders it.
+    benchmarks/results/registry_snapshot.json`` renders it.  A session
+    that selected only some benchmarks leaves the file as it was: its
+    counters would describe that selection, not the suite.
     """
     from repro import obs
 
     obs.registry().reset()
     yield
+    if not request.config.stash.get(_SELECTED_EVERY_TEST, False):
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "registry_snapshot.json"
     path.write_text(json.dumps(obs.registry().snapshot(), indent=2, sort_keys=True) + "\n")

@@ -938,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="additionally write the JSON report here (CI artifact)")
     lint.add_argument("--deep", action="store_true",
                       help="whole-program dataflow analysis: nondeterminism "
-                      "taint, set-order leaks, shared-memory races, fork capture")
+                      "taint, set-order leaks, fork capture")
     lint.add_argument("--baseline", default=None, metavar="BASELINE.json",
                       help="deep mode: accepted-findings baseline (default: "
                       "auto-discover deep-baseline.json; 'none' disables)")

@@ -34,7 +34,6 @@ __all__ = [
     "LEAF_MODULES",
     "PARALLEL_MAP_NAMES",
     "RNG_ALLOWLIST",
-    "SHM_ALLOWLIST",
     "package_of",
 ]
 
@@ -109,7 +108,6 @@ EXPORT_TYPE_ONLY_PREFIXES: tuple[str, ...] = (
 CLOCK_ALLOWLIST: dict[str, frozenset[str]] = {
     "repro.obs.clock": frozenset({"*"}),
     "repro.runtime.parallel": frozenset({"time.monotonic"}),
-    "repro.runtime.pool": frozenset({"time.monotonic"}),
     "repro.solver.branch_and_bound": frozenset({"time.monotonic"}),
     "repro.solver.parallel_bb": frozenset({"time.monotonic"}),
 }
@@ -125,12 +123,6 @@ RNG_ALLOWLIST: frozenset[str] = frozenset()
 #: Call names PICKLE-SAFE treats as process-pool entry points: their
 #: callable argument crosses a pickle boundary.
 PARALLEL_MAP_NAMES: frozenset[str] = frozenset({"parallel_map"})
-
-#: Modules allowed to construct ``multiprocessing.shared_memory``
-#: segments directly (SHM-SAFE).  None does today: payloads cross to
-#: workers pickled in their tasks.  The worker-lifecycle module is the
-#: one place a segment, with its unlink obligation, could belong.
-SHM_ALLOWLIST: frozenset[str] = frozenset({"repro.runtime.pool"})
 
 #: The instrumented-hot-path registry: module -> qualnames that must
 #: open a tracer span (OBS-SPAN).  These are the paths whose timings

@@ -3,8 +3,8 @@
 The shallow rules in :mod:`repro.devtools.rules` see one statement at a
 time; they catch an unseeded ``Random()`` but not a set iteration three
 frames below an :class:`~repro.optimize.deployment.OptimizationResult`
-field, and nothing about shared state in the zero-copy pool layer.
-This subpackage closes that gap with a parse-only, interprocedural
+field, nor a lock captured by a function a worker task reaches.  This
+subpackage closes that gap with a parse-only, interprocedural
 engine:
 
 * :mod:`repro.devtools.flow.symbols` — symbol table and call graph over
@@ -18,10 +18,9 @@ engine:
   (result-record fields, ``jsonsafe`` exports, blake2b digest inputs,
   service cache keys), with per-function effect summaries cached so the
   fixpoint converges in one pass over the SCC condensation;
-* :mod:`repro.devtools.flow.races` — the shared-state race detector
-  specialized to the pool layer: writes through ``attach_arrays`` /
-  ``attach_engine`` views, mutation of published payloads, fork-unsafe
-  globals captured by task callables, nested pools inside workers;
+* :mod:`repro.devtools.flow.races` — FORK-CAPTURE: fork-unsafe
+  globals read by code a worker task reaches, nested pools inside
+  workers;
 * :mod:`repro.devtools.flow.contract` — every source, sink, sanitizer,
   and the UNRESOLVED-call budget, as reviewable data;
 * :mod:`repro.devtools.flow.baseline` — the committed-baseline

@@ -32,8 +32,6 @@ __all__ = [
     "METHOD_SINKS",
     "ORDER_NEUTRAL_CALLS",
     "SANITIZERS",
-    "SHM_ATTACH_CALLS",
-    "SHM_PUBLISH_CALLS",
     "SINK_CALL_NAMES",
     "SINK_RECORD_CLASSES",
     "SOURCE_EXEMPT_MODULES",
@@ -104,7 +102,6 @@ SOURCE_EXEMPT_MODULES: frozenset[str] = frozenset(
     {
         "repro.obs.clock",
         "repro.runtime.parallel",
-        "repro.runtime.pool",
         "repro.solver.branch_and_bound",
         "repro.solver.parallel_bb",
     }
@@ -171,8 +168,7 @@ BLAKE2B_CONSTRUCTORS: frozenset[str] = frozenset({"hashlib.blake2b", "blake2b"})
 #: nondeterministic key silently splits cache entries across runs.
 METHOD_SINKS: dict[str, tuple[frozenset[str], str]] = {
     "checkout": (frozenset({"SessionCache"}), "session-cache key"),
-    "lookup": (frozenset({"ResultCache", "SessionCache"}), "result-cache key"),
-    "store": (frozenset({"ResultCache"}), "result-cache key"),
+    "put": (frozenset({"ResultCache"}), "result-cache key"),
 }
 
 #: Order-insensitive contexts for set-typed values: calls in this set
@@ -181,37 +177,8 @@ ORDER_NEUTRAL_CALLS: frozenset[str] = frozenset(
     {"len", "sum", "min", "max", "any", "all", "sorted", "frozenset", "set", "bool"}
 )
 
-#: Calls whose result is a live view over a shared-memory segment.
-SHM_ATTACH_CALLS: frozenset[str] = frozenset(
-    {
-        "attach_arrays",
-        "attach_engine",
-        "repro.runtime.pool.attach_arrays",
-        "repro.runtime.pool.attach_engine",
-    }
-)
-
-#: Calls that publish arrays into a segment: after this statement, the
-#: published arrays are frozen — a later write in the same function is
-#: a race against workers already mapping the segment.
-SHM_PUBLISH_CALLS: frozenset[str] = frozenset(
-    {
-        "publish_arrays",
-        "publish_engine",
-        "repro.runtime.pool.publish_arrays",
-        "repro.runtime.pool.publish_engine",
-        "share",  # PersistentPool.share(...)
-    }
-)
-
-#: ndarray methods that mutate in place — writing through an attached
-#: view with any of these is as racy as a subscript assignment.
-SHM_MUTATING_METHODS: frozenset[str] = frozenset(
-    {"fill", "sort", "partition", "put", "itemset", "resize", "setfield"}
-)
-
-#: dispatcher dotted name -> index of the task-callable argument.  The
-#: race detector resolves that argument to program functions and treats
+#: dispatcher dotted name -> index of the task-callable argument.
+#: FORK-CAPTURE resolves that argument to program functions and treats
 #: them (and everything they reach) as worker-side code.
 DISPATCHERS: dict[str, int] = {
     "parallel_map": 0,

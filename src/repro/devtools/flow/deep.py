@@ -28,10 +28,9 @@ from typing import Iterable, Sequence
 from repro.devtools.base import Finding, parse_suppressions
 from repro.devtools.flow import baseline as baseline_mod
 from repro.devtools.flow import contract as fc
-from repro.devtools.flow.races import fork_capture_findings
+from repro.devtools.flow.races import FORK_RULE_ID, fork_capture_findings
 from repro.devtools.flow.symbols import Program, build_program, condensation_order
 from repro.devtools.flow.taint import ORDER_RULE_ID, TAINT_RULE_ID, analyze_taint
-from repro.devtools.flow.races import FORK_RULE_ID, SHM_RULE_ID
 from repro.errors import ReproError
 
 __all__ = [
@@ -49,7 +48,6 @@ UNRESOLVED_RULE_ID = "UNRESOLVED-CALL"
 DEEP_RULE_IDS = (
     TAINT_RULE_ID,
     ORDER_RULE_ID,
-    SHM_RULE_ID,
     FORK_RULE_ID,
     UNRESOLVED_RULE_ID,
 )

@@ -1,170 +1,26 @@
-"""Shared-state race rules for the zero-copy pool layer.
+"""FORK-CAPTURE: fork-unsafe state crossing into worker tasks.
 
-Two rules, both encoded as dataflow over the :class:`~repro.devtools.
-flow.symbols.Program`:
-
-* **SHM-WRITE** — a write through a shared-memory view.  Workers map
-  published segments read-only by contract (``attach_arrays`` marks its
-  views non-writeable, but ``setflags``, ``np.copyto`` onto a view
-  slice, or mutation of the *publisher's* array after ``publish_*`` all
-  bypass that guard and race every process attached to the segment).
-  The taint interpreter tracks which locals hold attached views
-  (including through helper functions whose summaries say
-  ``returns_shm``) and which arrays have been published this function;
-  the store checks here turn those facts into findings.
-
-* **FORK-CAPTURE** — fork-unsafe state crossing into worker tasks.
-  Task callables handed to a dispatcher (``parallel_map``,
-  ``executor.submit``) run in forked/spawned children; a function
-  reachable from one that constructs a nested :class:`PersistentPool`,
-  re-routes the ambient pool, or reads a module global bound to a lock
-  or executor is wiring a deadlock or a silently-dead object into the
-  worker.
+Encoded as reachability over the :class:`~repro.devtools.flow.symbols.
+Program`: task callables handed to a dispatcher (``parallel_map``,
+``executor.submit``) run in forked/spawned children; a function
+reachable from one that constructs a nested :class:`PersistentPool`,
+re-routes the ambient pool, or reads a module global bound to a lock
+or executor is wiring a deadlock or a silently-dead object into the
+worker.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable
 
 from repro.devtools.base import Finding
 from repro.devtools.flow import contract as fc
-from repro.devtools.flow.symbols import CallSite, FunctionInfo, Program
+from repro.devtools.flow.symbols import FunctionInfo, Program
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.devtools.flow.taint import Summary
+__all__ = ["FORK_RULE_ID", "fork_capture_findings"]
 
-__all__ = [
-    "FORK_RULE_ID",
-    "SHM_RULE_ID",
-    "check_publish_mutations",
-    "fork_capture_findings",
-    "shm_store_finding",
-]
-
-SHM_RULE_ID = "SHM-WRITE"
 FORK_RULE_ID = "FORK-CAPTURE"
 
-
-def _base_name(node: ast.expr) -> str | None:
-    """The root ``Name`` of a ``views["a"][0]`` / ``engine._alpha`` chain."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def shm_store_finding(
-    target: ast.expr,
-    anchor: ast.AST,
-    func: FunctionInfo,
-    *,
-    is_shm: Callable[[ast.expr], bool],
-    published: dict[str, int],
-) -> Finding | None:
-    """A SHM-WRITE finding for a subscript/attribute store, if racy.
-
-    ``is_shm`` is the interpreter's view-tracking predicate;
-    ``published`` maps array variable names to the line where they were
-    published this function (mutations after that line race workers).
-    """
-    if not isinstance(target, (ast.Subscript, ast.Attribute)):
-        return None
-    if is_shm(target.value):
-        return Finding(
-            rule=SHM_RULE_ID,
-            path=func.path,
-            line=getattr(anchor, "lineno", func.lineno),
-            col=getattr(anchor, "col_offset", 0) + 1,
-            message=(
-                f"write through an attached shared-memory view in "
-                f"{func.qualname}; attached segments are read-only — every "
-                "worker process maps the same pages"
-            ),
-        )
-    base = _base_name(target)
-    if base is not None and base in published:
-        return Finding(
-            rule=SHM_RULE_ID,
-            path=func.path,
-            line=getattr(anchor, "lineno", func.lineno),
-            col=getattr(anchor, "col_offset", 0) + 1,
-            message=(
-                f"{base!r} is mutated after being published to shared memory "
-                f"(published at line {published[base]}) in {func.qualname}; "
-                "workers may already be mapping the stale or the new bytes"
-            ),
-        )
-    return None
-
-
-#: ndarray in-place methods: calling one on a view is a store.
-_MUTATING_METHODS = fc.SHM_MUTATING_METHODS | {"setflags"}
-
-
-def mutating_method_finding(
-    node: ast.Call,
-    spelled: str,
-    func: FunctionInfo,
-    *,
-    is_shm: Callable[[ast.expr], bool],
-    published: dict[str, int],
-) -> Finding | None:
-    """SHM-WRITE for ``view.fill(...)`` / ``arr.sort()``-style mutation."""
-    if "." not in spelled:
-        return None
-    method = spelled.rsplit(".", 1)[-1]
-    if method not in _MUTATING_METHODS:
-        return None
-    receiver = node.func.value if isinstance(node.func, ast.Attribute) else None
-    if receiver is None:
-        return None
-    if is_shm(receiver):
-        return Finding(
-            rule=SHM_RULE_ID,
-            path=func.path,
-            line=node.lineno,
-            col=node.col_offset + 1,
-            message=(
-                f".{method}() mutates an attached shared-memory view in "
-                f"{func.qualname}; attached segments are read-only"
-            ),
-        )
-    base = _base_name(receiver)
-    if base is not None and base in published:
-        return Finding(
-            rule=SHM_RULE_ID,
-            path=func.path,
-            line=node.lineno,
-            col=node.col_offset + 1,
-            message=(
-                f".{method}() mutates {base!r} after it was published to "
-                f"shared memory (line {published[base]}) in {func.qualname}"
-            ),
-        )
-    return None
-
-
-def check_publish_mutations(
-    func: FunctionInfo,
-    program: Program,
-    analyzer: object,
-    emit: list[Finding],
-) -> None:
-    """Hook for future cross-function publish tracking (no-op today).
-
-    Same-function publish-then-mutate is caught inline by the
-    interpreter's store checks; a published handle escaping to another
-    function that mutates the source array would need escape analysis
-    on the handle object — recorded as a known soundness gap in
-    docs/static-analysis.md rather than guessed at.
-    """
-
-
-# ----------------------------------------------------------------------
-# FORK-CAPTURE
-# ----------------------------------------------------------------------
 
 def _canonical_ctor(module_bindings: dict[str, str], spelled: str) -> str:
     head, _, rest = spelled.partition(".")

@@ -11,8 +11,7 @@ argument carried.
 Per function the engine produces a :class:`Summary`:
 
 * ``returns`` — tokens the return value may carry;
-* ``returns_set`` / ``returns_shm`` — type facts (set-typed values feed
-  the ORDER rule; shared-memory views feed SHM-WRITE);
+* ``returns_set`` — a type fact (set-typed values feed the ORDER rule);
 * ``param_sinks`` — parameters that flow into a sink *inside* the
   function, so a caller passing taint three frames above the sink is
   still caught.
@@ -38,11 +37,10 @@ run).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.devtools.base import Finding
 from repro.devtools.flow import contract as fc
-from repro.devtools.flow import races
 from repro.devtools.flow.symbols import (
     CallSite,
     FunctionInfo,
@@ -94,26 +92,12 @@ class Summary:
 
     returns: frozenset[str] = frozenset()
     returns_set: bool = False
-    returns_shm: bool = False
     #: (param index, sink label, sink line, exempt-kinds) — a caller
     #: passing taint into this parameter reaches the sink.
     param_sinks: tuple[tuple[int, str, int, frozenset[str]], ...] = ()
 
 
 _EMPTY = Summary()
-
-
-def _published_names(arg: ast.expr) -> list[str]:
-    """Variable names whose arrays a publish call snapshots.
-
-    ``pool.share({"alpha": alpha, "beta": views})`` publishes the dict's
-    *values*; a bare name argument publishes that name.
-    """
-    if isinstance(arg, ast.Name):
-        return [arg.id]
-    if isinstance(arg, ast.Dict):
-        return [value.id for value in arg.values if isinstance(value, ast.Name)]
-    return []
 
 
 #: Annotation predicate shared with the symbol layer.
@@ -175,12 +159,9 @@ class _Analyzer:
         ]
         self.env: dict[str, frozenset[str]] = {}
         self.set_vars: set[str] = set()
-        self.shm_vars: set[str] = set()
-        self.published_vars: dict[str, int] = {}
         self.blake_vars: set[str] = set()
         self.ret: frozenset[str] = frozenset()
         self.ret_set = False
-        self.ret_shm = False
         self.param_sinks: list[tuple[int, str, int, frozenset[str]]] = []
         #: var name -> program-class qualname, for receiver-aware
         #: attribute typing (``deployment.monitor_ids`` is a set because
@@ -204,13 +185,12 @@ class _Analyzer:
     def run(self) -> Summary:
         previous: tuple | None = None
         for _ in range(_MAX_ITER):
-            # publish/digest tracking is statement-order-sensitive:
-            # reset per sweep so sweep N never sees sweep N-1's "later"
-            # state as if it happened "earlier".
-            self.published_vars.clear()
+            # digest tracking is statement-order-sensitive: reset per
+            # sweep so sweep N never sees sweep N-1's "later" state as if
+            # it happened "earlier".
             self.blake_vars.clear()
             self._exec_block(self.func.node.body)
-            state = (self.ret, self.ret_set, self.ret_shm, tuple(self.param_sinks))
+            state = (self.ret, self.ret_set, tuple(self.param_sinks))
             if state == previous:
                 break
             previous = state
@@ -219,7 +199,6 @@ class _Analyzer:
         return Summary(
             returns=frozenset(self.ret),
             returns_set=self.ret_set,
-            returns_shm=self.ret_shm,
             param_sinks=tuple(sorted(set(self.param_sinks))),
         )
 
@@ -232,10 +211,9 @@ class _Analyzer:
         if isinstance(stmt, ast.Assign):
             taint = self._taint(stmt.value)
             is_set = self._is_set(stmt.value)
-            is_shm = self._is_shm(stmt.value)
             cls = self._class_of_value(stmt.value)
             for target in stmt.targets:
-                self._assign(target, taint, is_set, is_shm)
+                self._assign(target, taint, is_set)
                 if isinstance(target, ast.Name):
                     if cls is not None:
                         self.var_class[target.id] = cls
@@ -256,8 +234,7 @@ class _Analyzer:
             is_set = _annotation_is_set(stmt.annotation) or (
                 stmt.value is not None and self._is_set(stmt.value)
             )
-            is_shm = stmt.value is not None and self._is_shm(stmt.value)
-            self._assign(stmt.target, taint, is_set, is_shm)
+            self._assign(stmt.target, taint, is_set)
             if isinstance(stmt.target, ast.Name):
                 module = self.program.modules.get(self.func.module)
                 cls = (
@@ -269,13 +246,12 @@ class _Analyzer:
                     self.var_class[stmt.target.id] = cls
         elif isinstance(stmt, ast.AugAssign):
             taint = self._taint(stmt.value) | self._taint(stmt.target)
-            self._assign(stmt.target, taint, False, False)
-            self._check_shm_store(stmt.target, stmt)
+            self._assign(stmt.target, taint, False)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             taint = self._taint(stmt.iter)
             if self._is_set(stmt.iter):
                 taint = taint | {fc.KIND_ORDER}
-            self._assign(stmt.target, taint, False, False)
+            self._assign(stmt.target, taint, False)
             self._loop([*stmt.body, *stmt.orelse])
         elif isinstance(stmt, ast.While):
             self._taint(stmt.test)
@@ -288,10 +264,7 @@ class _Analyzer:
                 taint = self._taint(item.context_expr)
                 if item.optional_vars is not None:
                     self._assign(
-                        item.optional_vars,
-                        taint,
-                        self._is_set(item.context_expr),
-                        self._is_shm(item.context_expr),
+                        item.optional_vars, taint, self._is_set(item.context_expr)
                     )
             self._exec_block(stmt.body)
         elif isinstance(stmt, ast.Try):
@@ -304,7 +277,6 @@ class _Analyzer:
             if stmt.value is not None:
                 self.ret = self.ret | self._taint(stmt.value)
                 self.ret_set = self.ret_set or self._is_set(stmt.value)
-                self.ret_shm = self.ret_shm or self._is_shm(stmt.value)
         elif isinstance(stmt, ast.Expr):
             self._taint(stmt.value)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -327,14 +299,12 @@ class _Analyzer:
     def _branch(self, body: list[ast.stmt], orelse: list[ast.stmt]) -> None:
         snapshot = dict(self.env)
         snap_sets = set(self.set_vars)
-        snap_shm = set(self.shm_vars)
         snap_classes = dict(self.var_class)
         self._exec_block(body)
         after_body = dict(self.env)
         after_classes = dict(self.var_class)
         self.env = snapshot
         self.set_vars = snap_sets
-        self.shm_vars = snap_shm
         self.var_class = snap_classes
         self._exec_block(orelse)
         for name, tokens in after_body.items():
@@ -346,46 +316,26 @@ class _Analyzer:
         for name, cls in after_classes.items():
             self.var_class.setdefault(name, cls)
 
-    def _assign(self, target: ast.expr, taint: frozenset[str], is_set: bool, is_shm: bool) -> None:
+    def _assign(self, target: ast.expr, taint: frozenset[str], is_set: bool) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = taint
             if is_set:
                 self.set_vars.add(target.id)
             else:
                 self.set_vars.discard(target.id)
-            if is_shm:
-                self.shm_vars.add(target.id)
-            else:
-                self.shm_vars.discard(target.id)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign(element, taint, False, is_shm)
+                self._assign(element, taint, False)
         elif isinstance(target, ast.Subscript):
-            self._check_shm_store(target, target)
             base = target.value
             if isinstance(base, ast.Name):
                 self.env[base.id] = self.env.get(base.id, frozenset()) | taint | self._taint(target.slice)
         elif isinstance(target, ast.Attribute):
-            self._check_shm_store(target, target)
             base = target.value
             if isinstance(base, ast.Name):
                 self.env[base.id] = self.env.get(base.id, frozenset()) | taint
         elif isinstance(target, ast.Starred):
-            self._assign(target.value, taint, False, False)
-
-    # -- shared-memory write checks (rule logic in flow.races) ---------
-    def _check_shm_store(self, target: ast.expr, anchor: ast.AST) -> None:
-        if self.emit is None:
-            return
-        finding = races.shm_store_finding(
-            target,
-            anchor,
-            self.func,
-            is_shm=self._is_shm,
-            published=self.published_vars,
-        )
-        if finding is not None:
-            self.emit.append(finding)
+            self._assign(target.value, taint, False)
 
     # -- expressions ---------------------------------------------------
     def _taint(self, node: ast.expr | None) -> frozenset[str]:
@@ -445,7 +395,7 @@ class _Analyzer:
             return self._taint(node.value) if node.value else frozenset()
         if isinstance(node, ast.NamedExpr):
             taint = self._taint(node.value)
-            self._assign(node.target, taint, self._is_set(node.value), self._is_shm(node.value))
+            self._assign(node.target, taint, self._is_set(node.value))
             return taint
         if isinstance(node, ast.Slice):
             result = frozenset()
@@ -462,7 +412,7 @@ class _Analyzer:
             iter_taint = self._taint(generator.iter)
             if self._is_set(generator.iter) and ordered_result:
                 iter_taint = iter_taint | {fc.KIND_ORDER}
-            self._assign(generator.target, iter_taint, False, False)
+            self._assign(generator.target, iter_taint, False)
             result = result | iter_taint
             for condition in generator.ifs:
                 self._taint(condition)
@@ -532,28 +482,6 @@ class _Analyzer:
                 self.env[receiver] = self.env[receiver] | joined
             if method == "update" and receiver in self.blake_vars:
                 self._sink_hit(node, "digest input", arg_taints, frozenset())
-            if self.emit is not None:
-                racy = races.mutating_method_finding(
-                    node,
-                    spelled,
-                    self.func,
-                    is_shm=self._is_shm,
-                    published=self.published_vars,
-                )
-                if racy is not None:
-                    self.emit.append(racy)
-
-        # publications freeze their source arrays for the rest of the
-        # function: record which locals just crossed into shared memory.
-        published_call = (
-            canonical in fc.SHM_PUBLISH_CALLS
-            or spelled in fc.SHM_PUBLISH_CALLS
-            or (spelled.rsplit(".", 1)[-1] in fc.SHM_PUBLISH_CALLS if "." in spelled else False)
-        )
-        if published_call:
-            for arg in node.args:
-                for name in _published_names(arg):
-                    self.published_vars.setdefault(name, node.lineno)
 
         # resolved callees: substitute summaries
         if site is not None and site.resolved:
@@ -789,42 +717,6 @@ class _Analyzer:
             return self._is_set(node.value)
         return False
 
-    def _is_shm(self, node: ast.expr | None) -> bool:
-        if node is None:
-            return False
-        if isinstance(node, ast.Name):
-            return node.id in self.shm_vars
-        if isinstance(node, (ast.Subscript, ast.Attribute)):
-            return self._is_shm(node.value)
-        if isinstance(node, ast.Call):
-            site = self.sites.get(id(node))
-            canonical = site.canonical if site else ""
-            spelled = site.name if site else ""
-            if canonical in fc.SHM_ATTACH_CALLS or spelled in fc.SHM_ATTACH_CALLS:
-                return True
-            method = spelled.rsplit(".", 1)[-1] if "." in spelled else spelled
-            if method in fc.SHM_ATTACH_CALLS:
-                return True
-            if site is not None and site.resolved:
-                return any(
-                    self.summaries.get(t, _EMPTY).returns_shm for t in site.targets
-                )
-        return False
-
-
-def _analyze_function(
-    func: FunctionInfo,
-    program: Program,
-    summaries: dict[str, Summary],
-    set_attrs: frozenset[str],
-    emit: list[Finding] | None,
-) -> Summary:
-    analyzer = _Analyzer(func, program, summaries, set_attrs, emit)
-    summary = analyzer.run()
-    if emit is not None:
-        races.check_publish_mutations(func, program, analyzer, emit)
-    return summary
-
 
 def compute_summaries(program: Program) -> dict[str, Summary]:
     """Converge every function's :class:`Summary`, callee-first."""
@@ -837,7 +729,7 @@ def compute_summaries(program: Program) -> dict[str, Summary]:
                 func = program.functions.get(qualname)
                 if func is None:
                     continue
-                updated = _analyze_function(func, program, summaries, set_attrs, None)
+                updated = _Analyzer(func, program, summaries, set_attrs, None).run()
                 if summaries.get(qualname) != updated:
                     summaries[qualname] = updated
                     changed = True
@@ -862,6 +754,6 @@ def analyze_taint(
     findings: list[Finding] = []
     for qualname in sorted(program.functions):
         func = program.functions[qualname]
-        _analyze_function(func, program, summaries, set_attrs, findings)
+        _Analyzer(func, program, summaries, set_attrs, findings).run()
     unique = sorted(set(findings), key=Finding.sort_key)
     return unique, summaries

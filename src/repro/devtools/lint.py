@@ -253,8 +253,7 @@ def main(argv: Sequence[str] | None = None, prog: str = "repro lint") -> int:
         "--deep",
         action="store_true",
         help="run the whole-program dataflow analysis (taint, set-order "
-        "leaks, shared-memory races, fork capture) instead of the "
-        "per-file rules",
+        "leaks, fork capture) instead of the per-file rules",
     )
     parser.add_argument(
         "--baseline",

@@ -23,8 +23,8 @@ from repro.devtools.flow.deep import (
     analyze_deep,
     render_deep_json,
 )
-from repro.devtools.flow.races import SHM_RULE_ID
-from repro.devtools.flow.taint import ORDER_RULE_ID
+from repro.devtools.flow.races import FORK_RULE_ID
+from repro.devtools.flow.taint import ORDER_RULE_ID, TAINT_RULE_ID
 from repro.errors import ReproError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -37,72 +37,85 @@ SRC_REPRO = ROOT / "src" / "repro"
 # ---------------------------------------------------------------------
 
 def test_findings_fail_without_a_baseline():
-    report = analyze_deep([FIXTURES / "flow_shm_bad"], baseline="none")
+    report = analyze_deep([FIXTURES / "flow_fork_bad"], baseline="none")
     assert report.failed
-    assert [f.rule for f in report.findings] == [SHM_RULE_ID] * 3
+    assert [f.rule for f in report.findings] == [FORK_RULE_ID] * 3
     assert report.baseline_path is None
 
 
 def test_write_baseline_then_rerun_accepts_everything(tmp_path):
     baseline = tmp_path / "baseline.json"
     written = analyze_deep(
-        [FIXTURES / "flow_shm_bad"], baseline="none", write_baseline=baseline
+        [FIXTURES / "flow_order_bad"], baseline="none", write_baseline=baseline
     )
     assert not written.failed
-    assert len(written.accepted) == 3
+    assert len(written.accepted) == 2
     entries = json.loads(baseline.read_text())["entries"]
     assert all("TODO" in e["justification"] for e in entries)
 
-    rerun = analyze_deep([FIXTURES / "flow_shm_bad"], baseline=baseline)
+    rerun = analyze_deep([FIXTURES / "flow_order_bad"], baseline=baseline)
     assert not rerun.failed
-    assert len(rerun.accepted) == 3
+    assert len(rerun.accepted) == 2
     assert rerun.stale == []
 
 
 def test_rewriting_a_baseline_preserves_justifications(tmp_path):
     baseline = tmp_path / "baseline.json"
     analyze_deep(
-        [FIXTURES / "flow_shm_bad"], baseline="none", write_baseline=baseline
+        [FIXTURES / "flow_order_bad"], baseline="none", write_baseline=baseline
     )
     payload = json.loads(baseline.read_text())
-    payload["entries"][0]["justification"] = "reviewed: scratch segment"
+    payload["entries"][0]["justification"] = "reviewed: order-free digest"
     baseline.write_text(json.dumps(payload))
     analyze_deep(
-        [FIXTURES / "flow_shm_bad"], baseline=baseline, write_baseline=baseline
+        [FIXTURES / "flow_order_bad"], baseline=baseline, write_baseline=baseline
     )
     rewritten = json.loads(baseline.read_text())["entries"]
     assert any(
-        e["justification"] == "reviewed: scratch segment" for e in rewritten
+        e["justification"] == "reviewed: order-free digest" for e in rewritten
     )
 
 
 def test_stale_baseline_entries_are_reported_but_non_fatal(tmp_path):
     baseline = tmp_path / "baseline.json"
     analyze_deep(
-        [FIXTURES / "flow_shm_bad"], baseline="none", write_baseline=baseline
+        [FIXTURES / "flow_fork_bad"], baseline="none", write_baseline=baseline
     )
-    report = analyze_deep([FIXTURES / "flow_shm_good"], baseline=baseline)
+    report = analyze_deep([FIXTURES / "flow_fork_good"], baseline=baseline)
     assert not report.failed
     assert len(report.stale) == 3
-    assert {entry["rule"] for entry in report.stale} == {SHM_RULE_ID}
+    assert {entry["rule"] for entry in report.stale} == {FORK_RULE_ID}
 
 
 def test_missing_explicit_baseline_raises():
     with pytest.raises(ReproError, match="no such baseline"):
-        analyze_deep([FIXTURES / "flow_shm_good"], baseline="/no/such/file.json")
+        analyze_deep([FIXTURES / "flow_order_good"], baseline="/no/such/file.json")
+
+
+def _order_package(root, comment):
+    package = root / "orderpkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Suppression fixture."""\n')
+    (package / "mod.py").write_text(
+        "import hashlib\n"
+        "\n"
+        "\n"
+        "def digest(monitors: set) -> bytes:\n"
+        "    h = hashlib.blake2b()\n"
+        "    for monitor in monitors:\n"
+        f"        h.update(monitor){comment}\n"
+        "    return h.digest()\n"
+    )
+    return package
 
 
 def test_deep_findings_respect_noqa(tmp_path):
-    package = tmp_path / "shmpkg"
-    package.mkdir()
-    (package / "__init__.py").write_text('"""Suppression fixture."""\n')
-    (package / "mod.py").write_text(
-        "from repro.runtime.pool import attach_arrays\n"
-        "\n"
-        "\n"
-        "def scale(handle):\n"
-        "    views = attach_arrays(handle)\n"
-        "    views['alpha'][0] = 2.0  # repro: noqa[SHM-WRITE] scratch segment\n"
+    unsuppressed = analyze_deep(
+        [_order_package(tmp_path / "plain", "")], baseline="none"
+    )
+    assert [(f.rule, f.line) for f in unsuppressed.findings] == [(ORDER_RULE_ID, 7)]
+    package = _order_package(
+        tmp_path / "noqa", "  # repro: noqa[ORDER-LEAK] order-free digest"
     )
     report = analyze_deep([package], baseline="none")
     assert report.findings == []
@@ -145,7 +158,7 @@ def test_cli_deep_clean_fixture_exits_zero(capsys):
 
 def test_cli_deep_bad_fixture_exits_one(capsys):
     code = lint.main(
-        ["--deep", str(FIXTURES / "flow_shm_bad"), "--baseline", "none"]
+        ["--deep", str(FIXTURES / "flow_fork_bad"), "--baseline", "none"]
     )
     assert code == 1
     assert "3 new finding(s)" in capsys.readouterr().out
@@ -160,7 +173,7 @@ def test_cli_json_output_artifact(tmp_path, capsys):
     code = lint.main(
         [
             "--deep",
-            str(FIXTURES / "flow_shm_bad"),
+            str(FIXTURES / "flow_order_bad"),
             "--baseline",
             "none",
             "--format",
@@ -172,8 +185,10 @@ def test_cli_json_output_artifact(tmp_path, capsys):
     assert code == 1
     payload = json.loads(artifact.read_text())
     assert payload["mode"] == "deep"
-    assert payload["count"] == 3
-    assert set(payload["rules"]) >= {SHM_RULE_ID, ORDER_RULE_ID, UNRESOLVED_RULE_ID}
+    assert payload["count"] == 2
+    assert set(payload["rules"]) == {
+        TAINT_RULE_ID, ORDER_RULE_ID, FORK_RULE_ID, UNRESOLVED_RULE_ID
+    }
     assert payload == json.loads(capsys.readouterr().out)
 
 
@@ -255,19 +270,3 @@ def test_seeded_order_mutation_in_the_frontier_hot_path(tmp_path):
     assert [(Path(f.path).name, f.line) for f in hits] == [("parallel_bb.py", line)]
     assert "digest input" in hits[0].message
 
-
-def test_seeded_shm_write_mutation(tmp_path):
-    snippet = (
-        "\n"
-        "\n"
-        "def _mutated_worker_write(handle):\n"
-        "    views = attach_arrays(handle)\n"
-        "    views['alpha'][0] = -1.0\n"
-    )
-    mutated, target, line = _mutated_tree(
-        tmp_path, "runtime/resilience.py", snippet, "views['alpha'][0]"
-    )
-    report = analyze_deep([mutated], baseline="none")
-    hits = [f for f in report.findings if f.rule == SHM_RULE_ID]
-    assert [(Path(f.path).name, f.line) for f in hits] == [("resilience.py", line)]
-    assert "attached segments are read-only" in hits[0].message

@@ -1,54 +1,18 @@
-"""Golden fixtures for the shared-state race rules."""
+"""Golden fixtures for the FORK-CAPTURE rule."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.flow.races import FORK_RULE_ID, SHM_RULE_ID, fork_capture_findings
+from repro.devtools.flow.races import FORK_RULE_ID, fork_capture_findings
 from repro.devtools.flow.symbols import build_program
-from repro.devtools.flow.taint import analyze_taint
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def _shm(name):
-    program = build_program(FIXTURES / name)
-    findings, _ = analyze_taint(program)
-    return [f for f in findings if f.rule == SHM_RULE_ID]
 
 
 def _fork(name):
     program = build_program(FIXTURES / name)
     return fork_capture_findings(program)
-
-
-def test_store_through_attached_view():
-    findings = _shm("flow_shm_bad")
-    assert (SHM_RULE_ID, 8) in {(f.rule, f.line) for f in findings}
-    hit = next(f for f in findings if f.line == 8)
-    assert "write through an attached shared-memory view" in hit.message
-    assert "flow_shm_bad.worker.scale" in hit.message
-
-
-def test_mutating_method_on_attached_view():
-    findings = _shm("flow_shm_bad")
-    hit = next(f for f in findings if f.line == 14)
-    assert ".fill() mutates an attached shared-memory view" in hit.message
-
-
-def test_mutation_after_publish():
-    findings = _shm("flow_shm_bad")
-    hit = next(f for f in findings if f.line == 19)
-    assert "'alpha' is mutated after being published" in hit.message
-    assert "published at line 18" in hit.message
-
-
-def test_shm_bad_fixture_is_exactly_three_findings():
-    assert [f.line for f in _shm("flow_shm_bad")] == [8, 14, 19]
-
-
-def test_reads_and_private_writes_are_clean():
-    assert _shm("flow_shm_good") == []
 
 
 def test_worker_task_capturing_module_lock():

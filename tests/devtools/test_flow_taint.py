@@ -63,3 +63,14 @@ def test_order_leak_into_record_field():
 def test_sorted_sanitizer_cuts_order_taint():
     findings, _ = _analyze("flow_order_good")
     assert findings == []
+
+
+def test_order_leak_into_result_cache_key():
+    findings, _ = _analyze("flow_cache_bad")
+    assert [(f.rule, f.line) for f in findings] == [(ORDER_RULE_ID, 14)]
+    assert "set-iteration order reaches result-cache key" in findings[0].message
+
+
+def test_sorted_result_cache_key_is_clean():
+    findings, _ = _analyze("flow_cache_good")
+    assert findings == []

@@ -66,8 +66,8 @@ GOOD = [
     "good_json_strict.py",
     "good_exc_silent.py",
     "good_pickle_safe.py",
+    "good_shm_safe.py",
     "good_mut_default.py",
-    "shm_good/repro/runtime/pool.py",
     "export_good/repro/export/table.py",
     "hotpath_good/repro/runtime/parallel.py",
 ]
