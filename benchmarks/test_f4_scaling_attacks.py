@@ -120,87 +120,3 @@ def test_f4_scaling_attacks(benchmark, results_dir):
     )
 
     benchmark.pedantic(solve_instance, args=(largest,), rounds=1, iterations=1)
-
-
-# --- Parallel B&B ablation: determinism and node accounting at 4 workers ---
-
-BB_SIZES = [(10, 15), (20, 20), (40, 25)]
-BB_WORKERS = 4
-
-
-def test_f4_parallel_bb_ablation(results_dir):
-    """Serial vs. frontier-decomposed branch and bound, pooled 4-wide.
-
-    For each instance the serial solver and the parallel solver (4
-    workers through one persistent pool, the compiled form pickled in
-    each subtree task) must
-    agree bit-for-bit on status, objective and the full assignment; the
-    artifact records both node counts and wall times.  Serial and
-    parallel node counts legitimately differ (subtrees cannot share
-    incumbents mid-search) — the determinism contract is on answers,
-    and on node counts *across worker counts*, which is pinned by the
-    50-seed suite in ``tests/solver/test_parallel_bb.py``.
-    """
-    from repro.runtime.pool import PersistentPool
-    from repro.solver.branch_and_bound import solve_branch_and_bound
-    from repro.solver.parallel_bb import solve_parallel_branch_and_bound
-
-    rows = []
-    with PersistentPool(workers=BB_WORKERS) as pool:
-        for attacks, monitors in BB_SIZES:
-            model = synthetic_model(
-                assets=10, monitors=monitors, attacks=attacks, seed=11
-            )
-            budget = Budget.fraction_of_total(model, BUDGET_FRACTION)
-            milp, _ = MaxUtilityProblem(model, budget, WEIGHTS).build()
-
-            started = time.perf_counter()
-            serial = solve_branch_and_bound(milp)
-            serial_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            parallel = solve_parallel_branch_and_bound(
-                milp, workers=BB_WORKERS, pool=pool
-            )
-            parallel_seconds = time.perf_counter() - started
-
-            assert parallel.status == serial.status
-            assert parallel.objective == serial.objective
-            assert dict(parallel.values) == dict(serial.values)
-            rows.append(
-                [
-                    attacks,
-                    monitors,
-                    len(milp.variables),
-                    serial.nodes_explored,
-                    parallel.nodes_explored,
-                    serial_seconds,
-                    parallel_seconds,
-                ]
-            )
-
-    table = render_table(
-        [
-            "#attacks", "#monitors", "ILP vars",
-            "serial nodes", "parallel nodes",
-            "serial s", "parallel s",
-        ],
-        rows,
-        title=f"F4 — Parallel B&B ablation ({BB_WORKERS} workers, bit-identical answers)",
-    )
-    publish(results_dir, "f4_parallel_bb_ablation", table)
-    publish_json(
-        results_dir,
-        "f4_parallel_bb_ablation",
-        {
-            "experiment": "f4_parallel_bb_ablation",
-            "workers": BB_WORKERS,
-            "budget_fraction": BUDGET_FRACTION,
-            "columns": [
-                "attacks", "monitors", "ilp_vars",
-                "serial_nodes", "parallel_nodes",
-                "serial_seconds", "parallel_seconds",
-            ],
-            "rows": rows,
-            "bit_identical_answers": True,
-        },
-    )

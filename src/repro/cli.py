@@ -119,15 +119,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         help="relative optimality gap at which an incumbent is accepted "
         "as optimal (default: prove optimality exactly)",
     )
-    parser.add_argument(
-        "--bb-workers",
-        type=_positive_worker_count,
-        default=None,
-        metavar="N",
-        help="fan branch-and-bound subtree search out across N workers "
-        "(N > 1 answers as parallel-bb); objectives, deployments and "
-        "node counts are bit-identical at any N > 1",
-    )
 
 
 def _positive_worker_count(text: str) -> int:
@@ -162,17 +153,12 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
 def _command_pool(args: argparse.Namespace) -> contextlib.ExitStack:
     """Context manager installing one pool for the command's parallel maps.
 
-    Every command that maps holds one (``sweep``, ``contrib``, and the
-    solves that take ``--bb-workers``).  It is sized for the widest map
-    the command runs in this process: the ``--workers`` fan-out or,
-    when that is serial, each solve's ``--bb-workers`` subtree search.
-    The executor starts on first use, so a serial command never forks;
-    the pool is closed *and* uninstalled on exit, so no worker process
-    outlives the command.
+    Every command that maps holds one (``sweep`` and ``contrib``),
+    sized by ``--workers``.  The executor starts on first use, so a
+    serial command never forks; the pool is closed *and* uninstalled on
+    exit, so no worker process outlives the command.
     """
-    workers = resolve_workers(getattr(args, "workers", None))
-    if workers == 1:
-        workers = getattr(args, "bb_workers", None) or 1
+    workers = resolve_workers(args.workers)
     stack = contextlib.ExitStack()
     pool = stack.enter_context(PersistentPool(workers))
     stack.enter_context(use_pool(pool))
@@ -334,15 +320,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     model = _load_model(args)
     weights = _parse_weights(args)
     budget = _parse_budget(model, args)
-    with _command_pool(args):
-        result = MaxUtilityProblem(model, budget, weights).solve(
-            args.backend,
-            time_limit=args.timeout,
-            presolve=args.presolve,
-            max_nodes=args.max_nodes,
-            gap=args.gap,
-            bb_workers=args.bb_workers,
-        )
+    result = MaxUtilityProblem(model, budget, weights).solve(
+        args.backend,
+        time_limit=args.timeout,
+        presolve=args.presolve,
+        max_nodes=args.max_nodes,
+        gap=args.gap,
+    )
     _print_failures(result)
     print(result.summary())
     report = evaluate_deployment(model, result.deployment, weights)
@@ -371,15 +355,13 @@ def _cmd_mincost(args: argparse.Namespace) -> int:
         fully_cover=args.fully_cover.split(",") if args.fully_cover else (),
         weights=weights,
     )
-    with _command_pool(args):
-        result = problem.solve(
-            args.backend,
-            time_limit=args.timeout,
-            presolve=args.presolve,
-            max_nodes=args.max_nodes,
-            gap=args.gap,
-            bb_workers=args.bb_workers,
-        )
+    result = problem.solve(
+        args.backend,
+        time_limit=args.timeout,
+        presolve=args.presolve,
+        max_nodes=args.max_nodes,
+        gap=args.gap,
+    )
     print(result.summary())
     print(f"scalar cost: {result.objective:.2f}")
     print(f"spend: {result.deployment.cost().as_dict()}")
@@ -402,14 +384,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             fractions,
             weights,
             backend=args.backend,
-            # Resolved here: the pool may be wider than the sweep itself.
-            workers=resolve_workers(args.workers),
+            workers=args.workers,
             policy=_parse_policy(args),
             report=report,
             presolve=args.presolve,
             max_nodes=args.max_nodes,
             gap=args.gap,
-            bb_workers=args.bb_workers,
         )
     _print_report(report)
     for p in points:
@@ -507,17 +487,15 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
     model = _load_model(args)
     weights = _parse_weights(args)
-    with _command_pool(args):
-        points = exact_frontier(
-            model,
-            weights,
-            backend=args.backend,
-            max_points=args.max_points,
-            presolve=args.presolve,
-            max_nodes=args.max_nodes,
-            gap=args.gap,
-            bb_workers=args.bb_workers,
-        )
+    points = exact_frontier(
+        model,
+        weights,
+        backend=args.backend,
+        max_points=args.max_points,
+        presolve=args.presolve,
+        max_nodes=args.max_nodes,
+        gap=args.gap,
+    )
     print(render_table(
         ["scalar cost", "utility", "#monitors"],
         [[p.scalar_cost, p.utility, len(p.deployment)] for p in points],

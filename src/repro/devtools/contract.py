@@ -109,7 +109,6 @@ CLOCK_ALLOWLIST: dict[str, frozenset[str]] = {
     "repro.obs.clock": frozenset({"*"}),
     "repro.runtime.parallel": frozenset({"time.monotonic"}),
     "repro.solver.branch_and_bound": frozenset({"time.monotonic"}),
-    "repro.solver.parallel_bb": frozenset({"time.monotonic"}),
 }
 
 #: Modules allowed to call ``json.dumps``/``json.dump`` directly: the
@@ -139,7 +138,6 @@ HOT_PATHS: dict[str, tuple[str, ...]] = {
     "repro.solver.scipy_backend": ("solve_scipy_milp",),
     "repro.solver.lp": ("LpRelaxation.solve",),
     "repro.solver.branch_and_bound": ("solve_branch_and_bound",),
-    "repro.solver.parallel_bb": ("solve_parallel_branch_and_bound",),
     "repro.solver.presolve": ("presolve",),
     "repro.solver.fallback": ("_solve_chain",),
     "repro.solver.session": ("SolveSession.solve",),

@@ -103,7 +103,6 @@ SOURCE_EXEMPT_MODULES: frozenset[str] = frozenset(
         "repro.obs.clock",
         "repro.runtime.parallel",
         "repro.solver.branch_and_bound",
-        "repro.solver.parallel_bb",
     }
 )
 

@@ -131,7 +131,6 @@ def exact_frontier(
     presolve: bool = False,
     max_nodes: int | None = None,
     gap: float | None = None,
-    bb_workers: int | None = None,
 ) -> list[FrontierPoint]:
     """The complete cost–utility Pareto frontier, cheapest point first.
 
@@ -153,11 +152,6 @@ def exact_frontier(
         presolved, and because each iteration only *tightens* the cost
         cap, the previous point's proven optimum is reused as a dual
         bound by the branch-and-bound backend.
-    bb_workers:
-        Fan each branch-and-bound solve's subtree search out across
-        this many workers (see :mod:`repro.solver.parallel_bb`).
-        A throughput knob only: the frontier is bit-identical at any
-        worker count.
 
     Each returned point is Pareto-optimal; consecutive points strictly
     increase in both cost and utility.  The last point attains the
@@ -175,7 +169,6 @@ def exact_frontier(
             time_limit=time_limit,
             max_nodes=max_nodes,
             gap=gap,
-            bb_workers=bb_workers,
         )
         if presolve
         else None
@@ -189,7 +182,6 @@ def exact_frontier(
         time_limit=time_limit,
         max_nodes=max_nodes,
         gap=gap,
-        bb_workers=bb_workers,
     )
     points: list[FrontierPoint] = []
     cost_cap: float | None = None  # start unconstrained: the max-utility end

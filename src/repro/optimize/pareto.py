@@ -79,7 +79,6 @@ def _budget_sweep_job(
         int | None,
         float | None,
         ProblemFamily | None,
-        int | None,
     ],
 ) -> SweepPoint:
     (
@@ -93,7 +92,6 @@ def _budget_sweep_job(
         max_nodes,
         gap,
         family,
-        bb_workers,
     ) = task
     budget = Budget.fraction_of_total(model, fraction)
     problem = MaxUtilityProblem(model, budget, weights, family=family)
@@ -104,7 +102,6 @@ def _budget_sweep_job(
         session=session,
         max_nodes=max_nodes,
         gap=gap,
-        bb_workers=bb_workers,
     )
     return SweepPoint(fraction=fraction, budget=budget, result=result)
 
@@ -124,7 +121,6 @@ def budget_sweep(
     max_nodes: int | None = None,
     gap: float | None = None,
     pool: PersistentPool | None = None,
-    bb_workers: int | None = None,
     family: ProblemFamily | None = None,
 ) -> list[SweepPoint]:
     """Optimal utility at each budget fraction of the total monitor cost.
@@ -148,10 +144,7 @@ def budget_sweep(
     across *calls* too, but then requires a serial sweep.
 
     ``pool`` (or an ambient :func:`~repro.runtime.pool.use_pool`) reuses
-    one persistent executor across this and every other map in a study;
-    ``bb_workers`` fans each point's branch-and-bound subtree search out
-    in turn (see :mod:`repro.solver.parallel_bb`) — the two parallelize
-    different axes and compose.
+    one persistent executor across this and every other map in a study.
 
     ``family`` shares one formulation core across *calls* too (the
     solve service passes its cached per-tenant
@@ -179,7 +172,6 @@ def budget_sweep(
             time_limit=time_limit,
             max_nodes=max_nodes,
             gap=gap,
-            bb_workers=bb_workers,
         )
     # A session implies a serial sweep, so the points can also share one
     # formulation core: only the budget rows are rebuilt per point.
@@ -200,7 +192,6 @@ def budget_sweep(
                     max_nodes,
                     gap,
                     family,
-                    bb_workers,
                 )
                 for fraction in fractions
             ],

@@ -43,19 +43,17 @@ def _dispatch(
     max_nodes: int | None = None,
     gap: float | None = None,
     presolve: bool = False,
-    bb_workers: int | None = None,
 ) -> Solution:
     """The one road from a built MILP to a backend.
 
-    A ``session`` answers when given: it carries its own backend,
-    presolve setting and ``bb_workers``, and ``family_key`` names the
-    warm-start family.  Otherwise :func:`repro.solver.solve` runs
-    ``backend`` cold.
+    A ``session`` answers when given: it carries its own backend and
+    presolve setting, and ``family_key`` names the warm-start family.
+    Otherwise :func:`repro.solver.solve` runs ``backend`` cold.
     """
     limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
     if session is not None:
         return session.solve(milp, family_key=family_key, **limits)
-    return solve(milp, backend, presolve=presolve, bb_workers=bb_workers, **limits)
+    return solve(milp, backend, presolve=presolve, **limits)
 
 
 def _selection(builder: FormulationBuilder, solution: Solution, infeasible: str) -> frozenset[str]:
@@ -196,18 +194,13 @@ class MaxUtilityProblem:
         session: SolveSession | None = None,
         max_nodes: int | None = None,
         gap: float | None = None,
-        bb_workers: int | None = None,
     ) -> OptimizationResult:
         """Solve to optimality and return the chosen deployment.
 
         ``presolve`` routes the ILP through the exact reduction pipeline
-        first; ``session`` (which implies its own presolve setting,
-        backend, and ``bb_workers``) reuses warm-start state across a
-        family of related solves — pass the same session to every point
-        of a sweep.  ``bb_workers`` fans branch-and-bound subtree
-        exploration across workers (see
-        :mod:`repro.solver.parallel_bb`); the selected deployment is
-        bit-identical at any count.
+        first; ``session`` (which implies its own presolve setting and
+        backend) reuses warm-start state across a family of related
+        solves — pass the same session to every point of a sweep.
 
         With the ``"fallback"`` backend (the session's, when one is
         given) the exact backends are tried in
@@ -246,7 +239,6 @@ class MaxUtilityProblem:
                     max_nodes=max_nodes,
                     gap=gap,
                     presolve=presolve,
-                    bb_workers=bb_workers,
                 )
             except SolverError as exc:
                 chosen = session.backend if session is not None else backend
@@ -420,12 +412,11 @@ class MinCostProblem:
         session: SolveSession | None = None,
         max_nodes: int | None = None,
         gap: float | None = None,
-        bb_workers: int | None = None,
     ) -> OptimizationResult:
         """Solve to optimality and return the cheapest compliant deployment.
 
-        ``presolve``/``session``/``max_nodes``/``gap``/``bb_workers``
-        behave as on :meth:`MaxUtilityProblem.solve`.
+        ``presolve``/``session``/``max_nodes``/``gap`` behave as on
+        :meth:`MaxUtilityProblem.solve`.
 
         Raises
         ------
@@ -445,7 +436,6 @@ class MinCostProblem:
                 max_nodes=max_nodes,
                 gap=gap,
                 presolve=presolve,
-                bb_workers=bb_workers,
             )
         obs.histogram("optimize.solve_seconds").observe(sp.duration)
         selected = _selection(

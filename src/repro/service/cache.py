@@ -138,7 +138,6 @@ class SessionCache:
         backend: str,
         *,
         presolve: bool = False,
-        bb_workers: int | None = None,
     ) -> CacheEntry:
         """The warm entry for this key, creating (and evicting) as needed.
 
@@ -161,9 +160,7 @@ class SessionCache:
                     tenant=tenant,
                     model=model,
                     family=ProblemFamily(model, weights),
-                    session=SolveSession(
-                        backend, presolve=presolve, bb_workers=bb_workers
-                    ),
+                    session=SolveSession(backend, presolve=presolve),
                     last_used=now,
                     uses=1,
                 )

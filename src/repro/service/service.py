@@ -63,7 +63,6 @@ from repro.optimize.frontier import exact_frontier
 from repro.optimize.pareto import budget_sweep
 from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
 from repro.runtime import faults
-from repro.runtime.pool import PersistentPool
 from repro.runtime.resilience import RetryPolicy, TaskFailure
 from repro.service.cache import CacheEntry, ResultCache, SessionCache, _session_key
 from repro.service.requests import (
@@ -192,15 +191,6 @@ class ServiceConfig:
         Injected time source for admission stamps, deadlines, and
         latency metrics (tests drive a
         :class:`~repro.obs.clock.ManualClock`).
-    pool:
-        Optional :class:`~repro.runtime.pool.PersistentPool` made
-        ambient for the duration of every batch, so parallel
-        branch-and-bound solves reuse one executor.  Lifecycle stays
-        with the caller.
-    bb_workers:
-        Branch-and-bound subtree fan-out for sessions created by the
-        cache and for frontier jobs (answers are bit-identical at any
-        count).
     """
 
     workers: int = 2
@@ -213,8 +203,6 @@ class ServiceConfig:
     cache_max_bytes: int = 64 << 20
     cache_idle_ttl: float | None = None
     clock: Clock | None = None
-    pool: PersistentPool | None = None
-    bb_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -650,7 +638,6 @@ class SolveService:
             weights,
             backend,
             presolve=presolve,
-            bb_workers=self.config.bb_workers,
         )
         outcomes: list[tuple[JobHandle, JobResult]] = []
         with entry.lock:
@@ -845,7 +832,6 @@ class SolveService:
                 presolve=self.config.presolve,
                 max_nodes=request.max_nodes,
                 gap=request.gap,
-                bb_workers=self.config.bb_workers,
             )
         raise RequestValidationError([f"unhandled job kind {kind!r}"])
 

@@ -6,10 +6,7 @@ solver.  This package provides one that is self-contained:
 * an algebraic modeling layer (:mod:`repro.solver.expressions`,
   :mod:`repro.solver.model`) in the style of PuLP;
 * a pure-Python **branch-and-bound** solver over scipy LP relaxations
-  (:mod:`repro.solver.branch_and_bound`), plus a deterministic
-  **parallel** variant (:mod:`repro.solver.parallel_bb`) that explores
-  frontier subtrees across worker processes with bit-identical results
-  at any worker count;
+  (:mod:`repro.solver.branch_and_bound`);
 * a **HiGHS** backend via :func:`scipy.optimize.milp`
   (:mod:`repro.solver.scipy_backend`), the default for large instances.
 
@@ -18,8 +15,6 @@ backend chain (:mod:`repro.solver.fallback`), and ``presolve=True`` is
 the one cold presolve → solve → lift path.  :class:`SolveSession` adds
 warm state across a family of solves on top of the same dispatch.
 """
-
-from collections.abc import Mapping, MutableMapping
 
 from repro.errors import SolverError
 from repro.solver.branch_and_bound import solve_branch_and_bound
@@ -40,7 +35,6 @@ from repro.solver.model import (
     StandardForm,
 )
 from repro.solver.lpwriter import model_to_lp_string
-from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from repro.solver.presolve import (
     PresolveResult,
     PresolveStats,
@@ -71,7 +65,6 @@ __all__ = [
     "presolve",
     "solve",
     "solve_branch_and_bound",
-    "solve_parallel_branch_and_bound",
     "solve_scipy_milp",
     "model_to_lp_string",
     "BACKENDS",
@@ -89,7 +82,6 @@ def solve(
     max_nodes: int | None = None,
     gap: float | None = None,
     presolve: bool = False,
-    bb_workers: int | None = None,
 ) -> Solution:
     """Solve ``model`` with the named backend.
 
@@ -121,13 +113,6 @@ def solve(
         decides (INFEASIBLE or fully fixed) answers with backend
         ``"presolve"`` before any backend, the fallback chain included,
         runs.
-    bb_workers:
-        Worker count for branch-and-bound subtree exploration: above 1,
-        ``"branch-and-bound"`` (including its turn in the fallback
-        chain) runs the parallel solver (solutions stamped
-        ``parallel-bb``), whose answers and node counts are
-        bit-identical at any worker count — a throughput knob, never a
-        semantics knob.
     """
     limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
     if presolve:
@@ -136,40 +121,12 @@ def solve(
         if verdict is not None:
             return verdict
         assert pre.reduced is not None
-        return pre.lift_solution(solve(pre.reduced, backend, bb_workers=bb_workers, **limits))
+        return pre.lift_solution(solve(pre.reduced, backend, **limits))
     if backend == "scipy":
         return solve_scipy_milp(model, **limits)
     if backend == "branch-and-bound":
-        return _branch_and_bound(model, bb_workers=bb_workers, **limits)
+        return solve_branch_and_bound(model, **limits)
     if backend == "fallback":
-        return _solve_chain(model, bb_workers=bb_workers, **limits)
+        return _solve_chain(model, **limits)
     raise SolverError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
-
-def _branch_and_bound(
-    model: MilpModel,
-    *,
-    bb_workers: int | None,
-    time_limit: float | None,
-    max_nodes: int | None,
-    gap: float | None,
-    warm_start: Mapping[str, float] | None = None,
-    known_bound: float | None = None,
-    lp_cache: MutableMapping | None = None,
-) -> Solution:
-    """Run branch and bound: the one serial-vs-parallel choice.
-
-    ``bb_workers`` above 1 takes the parallel solver; ``None`` limits
-    keep the solvers' own defaults.  :func:`solve` calls this cold, and
-    :class:`SolveSession` with its warm start, dual bound and LP cache.
-    """
-    options: dict[str, object] = dict(
-        time_limit=time_limit, warm_start=warm_start, known_bound=known_bound, lp_cache=lp_cache
-    )
-    if max_nodes is not None:
-        options["max_nodes"] = max_nodes
-    if gap is not None:
-        options["gap"] = gap
-    if bb_workers is not None and bb_workers > 1:
-        return solve_parallel_branch_and_bound(model, workers=bb_workers, **options)
-    return solve_branch_and_bound(model, **options)

@@ -16,9 +16,6 @@ compares the two.
 A solve is three steps: :func:`_root` (root relaxation, warm-start
 incumbent, ``known_bound`` floor), :func:`_explore` (the best-first
 loop) and :func:`_solution` (stop reason to :class:`Solution`).
-:mod:`repro.solver.parallel_bb` runs the same three, stopping the loop
-at a frontier of open nodes and exploring each in a worker, so both
-solvers share one pruning rule, branching rule and incumbent test.
 
 The loop solves the two children of a branching as a pair: a helper
 thread runs the second child's LP while the main thread solves the
@@ -53,11 +50,14 @@ INTEGRALITY_TOLERANCE = 1e-6
 #: Relative optimality gap at which the search stops early.
 DEFAULT_GAP = 1e-9
 
+#: Node cap when the caller gives none.
+DEFAULT_MAX_NODES = 1_000_000
+
 #: Absolute feasibility tolerance for accepting a snapped-integral point
 #: as an incumbent (matches the HiGHS MIP feasibility default).
 FEASIBILITY_TOLERANCE = 1e-6
 
-#: Backend name stamped on serial solutions.
+#: Backend name stamped on solutions.
 _BACKEND = "branch-and-bound"
 
 
@@ -221,15 +221,12 @@ def _explore(
     node_budget: int,
     deadline: float | None,
     lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
-    frontier_target: int | None = None,
 ) -> str:
     """The best-first loop; every branch-and-bound solve runs through it.
 
     Advances ``search`` in place and returns why it stopped:
     ``"exhausted"`` (heap empty), ``"gap"`` (the bound met the
-    incumbent), ``"limit"`` (node budget or deadline), or
-    ``"frontier"`` (the heap reached ``frontier_target`` open nodes —
-    the split step of :mod:`repro.solver.parallel_bb`).
+    incumbent) or ``"limit"`` (node budget or deadline).
 
     Sibling LPs are solved in pairs.  A node that branches pushes both
     children with its LP bound and consecutive tiebreaks, so when the
@@ -252,7 +249,6 @@ def _explore(
             node_budget=node_budget,
             deadline=deadline,
             lp_cache=lp_cache,
-            frontier_target=frontier_target,
         )
     finally:
         helper.shutdown(cancel_futures=True)
@@ -269,14 +265,11 @@ def _best_first(
     node_budget: int,
     deadline: float | None,
     lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None,
-    frontier_target: int | None,
 ) -> str:
     """:func:`_explore`'s loop, sending each second sibling's LP to ``helper``."""
     form, heap = search.form, search.heap
     integral_indices = np.flatnonzero(form.integrality)
     while heap:
-        if frontier_target is not None and len(heap) >= frontier_target:
-            return "frontier"
         bound, tiebreak, lower, upper, paired = heapq.heappop(heap)
         # A node whose bound cannot beat the incumbent prunes the rest of
         # the heap too (best-first order), so we can stop entirely.
@@ -396,8 +389,8 @@ def solve_branch_and_bound(
     model: MilpModel,
     *,
     time_limit: float | None = None,
-    max_nodes: int = 1_000_000,
-    gap: float = DEFAULT_GAP,
+    max_nodes: int | None = None,
+    gap: float | None = None,
     warm_start: Mapping[str, float] | None = None,
     known_bound: float | None = None,
     lp_cache: MutableMapping[tuple[bytes, bytes], LpResult] | None = None,
@@ -413,10 +406,12 @@ def solve_branch_and_bound(
         with status ``FEASIBLE`` (:class:`~repro.errors.LimitReachedError`
         is raised if none was found).
     max_nodes:
-        Hard cap on explored nodes, same fallback behaviour.
+        Hard cap on explored nodes, same fallback behaviour
+        (:data:`DEFAULT_MAX_NODES` when None).
     gap:
         Relative optimality gap ``|bound - incumbent| / max(1, |incumbent|)``
-        at which the incumbent is accepted as optimal.
+        at which the incumbent is accepted as optimal
+        (:data:`DEFAULT_GAP` when None).
     warm_start:
         Optional name-keyed assignment used as the starting incumbent
         when it is feasible for this model (rejected silently when not).
@@ -442,7 +437,11 @@ def solve_branch_and_bound(
         stopped = "exhausted"
         if search is not None:
             stopped = _explore(
-                search, gap=gap, node_budget=max_nodes, deadline=deadline, lp_cache=lp_cache
+                search,
+                gap=DEFAULT_GAP if gap is None else gap,
+                node_budget=DEFAULT_MAX_NODES if max_nodes is None else max_nodes,
+                deadline=deadline,
+                lp_cache=lp_cache,
             )
         sp.set(
             nodes=1 if search is None else search.nodes,

@@ -49,12 +49,10 @@ def _solve_chain(
     time_limit: float | None,
     max_nodes: int | None,
     gap: float | None,
-    bb_workers: int | None,
 ) -> Solution:
     """Solve ``model`` with the first backend in :data:`DEFAULT_CHAIN` that answers.
 
-    ``max_nodes``, ``gap`` and ``bb_workers`` forward to every backend
-    that understands them, so a hard instance degrades by gap (status
+    ``max_nodes`` and ``gap`` forward to every backend, so a hard instance degrades by gap (status
     ``FEASIBLE``) instead of erroring out of the chain.
 
     Raises
@@ -85,7 +83,6 @@ def _solve_chain(
                         time_limit=time_limit,
                         max_nodes=max_nodes,
                         gap=gap,
-                        bb_workers=bb_workers,
                     )
             except UnboundedError:
                 raise

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.model import (
     MilpModel,
     Solution,
@@ -150,11 +151,6 @@ class SolveSession:
     time_limit, max_nodes, gap:
         Default solve controls forwarded to the backend; ``solve`` may
         override them per call.
-    bb_workers:
-        Worker count for branch-and-bound subtree exploration: above 1,
-        ``"branch-and-bound"`` runs the parallel solver.  The session's
-        warm starts, dual bounds, and phase-1 LP cache apply unchanged,
-        and its answers are bit-identical at any count above 1.
     """
 
     def __init__(
@@ -165,14 +161,12 @@ class SolveSession:
         time_limit: float | None = None,
         max_nodes: int | None = None,
         gap: float | None = None,
-        bb_workers: int | None = None,
     ):
         self.backend = backend
         self.presolve_enabled = presolve
         self.time_limit = time_limit
         self.max_nodes = max_nodes
         self.gap = gap
-        self.bb_workers = bb_workers
         self._families: dict[str, _FamilyState] = {}
         # LP-relaxation caches, one per distinct reduced instance (LRU).
         self._lp_caches: OrderedDict[str, dict] = OrderedDict()
@@ -285,23 +279,22 @@ class SolveSession:
             else:
                 target, lift = model, None
 
-            from repro.solver import _branch_and_bound, solve  # local: repro.solver imports us
+            from repro.solver import solve  # local: repro.solver imports us
 
             limits = dict(time_limit=time_limit, max_nodes=max_nodes, gap=gap)
             if self.backend == "branch-and-bound":
                 # Only branch-and-bound consumes seeds, dual bounds and LP
                 # caches; computing (and counting) them for other backends
                 # would make the session stats lie.
-                solution = _branch_and_bound(
+                solution = solve_branch_and_bound(
                     target,
-                    bb_workers=self.bb_workers,
                     warm_start=self._project_seed(family, target),
                     known_bound=self._reusable_bound(family, form),
                     lp_cache=self._lp_cache_for(_instance_digest(target.compile())),
                     **limits,
                 )
             else:
-                solution = solve(target, self.backend, bb_workers=self.bb_workers, **limits)
+                solution = solve(target, self.backend, **limits)
             if lift is not None:
                 solution = lift.lift_solution(solution)
             self._record(family, form, solution)

@@ -263,10 +263,10 @@ def test_seeded_order_mutation_in_the_frontier_hot_path(tmp_path):
         "    return digest.digest()\n"
     )
     mutated, target, line = _mutated_tree(
-        tmp_path, "solver/parallel_bb.py", snippet, "digest.update(node)"
+        tmp_path, "solver/branch_and_bound.py", snippet, "digest.update(node)"
     )
     report = analyze_deep([mutated], baseline="none")
     hits = [f for f in report.findings if f.rule == ORDER_RULE_ID]
-    assert [(Path(f.path).name, f.line) for f in hits] == [("parallel_bb.py", line)]
+    assert [(Path(f.path).name, f.line) for f in hits] == [("branch_and_bound.py", line)]
     assert "digest input" in hits[0].message
 

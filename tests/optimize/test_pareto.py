@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro import obs
-from repro.casestudy.scaling import ScalingConfig, synthetic_model
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.deployment import Deployment
 from repro.optimize.greedy import solve_greedy
@@ -13,7 +11,6 @@ from repro.optimize.pareto import (
     pareto_frontier,
     solve_time_profile,
 )
-from repro.runtime.pool import PersistentPool, use_pool
 
 FRACTIONS = [0.0, 0.25, 0.5, 1.0]
 
@@ -92,37 +89,3 @@ class TestSolveTimeProfile:
 
     def test_empty(self):
         assert solve_time_profile([]) == {"total": 0.0, "mean": 0.0, "max": 0.0}
-
-
-def _walk(span):
-    yield span
-    for child in span.children:
-        yield from _walk(child)
-
-
-class TestPresolvedSweepBbWorkers:
-    """A serial presolved sweep solves through a session it builds itself.
-
-    That session must carry the sweep's ``bb_workers``: a session's own
-    value overrides the per-point one, so a session built without it ran
-    every point's branch and bound serially.
-    """
-
-    def test_every_point_fans_out_and_answers_match_serial(self):
-        model = synthetic_model(
-            ScalingConfig(assets=30, monitor_types=6, monitors=60, attacks=30, seed=3)
-        )
-        sweep = dict(backend="branch-and-bound", presolve=True, workers=1)
-        serial = budget_sweep(model, [0.3, 0.6], **sweep)
-        with PersistentPool(workers=2) as pool, use_pool(pool), obs.capture() as cap:
-            fanned = budget_sweep(model, [0.3, 0.6], bb_workers=2, **sweep)
-        spans = [span.name for root in cap.tracer.roots for span in _walk(root)]
-        assert spans.count("solver.parallel_bb") == 2
-        assert [p.result.method for p in fanned] == ["ilp/parallel-bb"] * 2
-        assert [
-            (p.result.monitor_ids, p.result.objective.hex(), p.utility.hex(), p.result.optimal)
-            for p in fanned
-        ] == [
-            (p.result.monitor_ids, p.result.objective.hex(), p.utility.hex(), p.result.optimal)
-            for p in serial
-        ]

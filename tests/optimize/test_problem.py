@@ -4,17 +4,11 @@ import itertools
 
 import pytest
 
-from repro import obs
-from repro.casestudy.scaling import ScalingConfig, synthetic_model
 from repro.errors import InfeasibleError, OptimizationError
 from repro.metrics.cost import Budget
 from repro.metrics.coverage import attack_coverage
 from repro.metrics.utility import UtilityWeights, utility
 from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
-from repro.runtime import faults
-from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.pool import PersistentPool, use_pool
-from repro.solver import SolveSession
 
 BACKENDS = ["scipy", "branch-and-bound"]
 
@@ -217,36 +211,3 @@ class TestRedundantCover:
         # redundant_cover alone is a valid requirement set.
         result = MinCostProblem(toy_model, redundant_cover={"B": 1}).solve()
         assert result.optimal
-
-
-class TestFallbackSessionBbWorkers:
-    """A ``"fallback"`` session hands its ``bb_workers`` to the chain.
-
-    With HiGHS down, the branch-and-bound understudy answers; a session
-    built with ``bb_workers=2`` must run it in parallel, exactly as the
-    cold ``solve("fallback", bb_workers=2)`` does.
-    """
-
-    def test_understudy_runs_parallel_and_matches_cold(self, tmp_path):
-        model = synthetic_model(
-            ScalingConfig(assets=30, monitor_types=6, monitors=60, attacks=30, seed=3)
-        )
-        problem = MaxUtilityProblem(model, Budget.fraction_of_total(model, 0.3))
-        plan = FaultPlan.of(tmp_path, {"solver.scipy": FaultSpec(kind="error", times=-1)})
-        with PersistentPool(workers=2) as pool, use_pool(pool), faults.inject(plan):
-            cold = problem.solve("fallback", bb_workers=2)
-            with obs.capture() as cap:
-                warm = problem.solve(
-                    "fallback", session=SolveSession("fallback", bb_workers=2)
-                )
-        spans = [span.name for root in cap.tracer.roots for span in _walk(root)]
-        assert spans.count("solver.parallel_bb") == 1
-        assert cold.method == warm.method == "ilp/parallel-bb"
-        assert warm.monitor_ids == cold.monitor_ids
-        assert warm.utility == cold.utility
-
-
-def _walk(span):
-    yield span
-    for child in span.children:
-        yield from _walk(child)

@@ -113,8 +113,7 @@ class TestBackendSpecifics:
 
     @pytest.mark.parametrize("retired", ["enumeration", "parallel-bb"])
     def test_oracle_and_parallel_names_are_not_backends(self, retired):
-        # The oracle lives under tests/; parallel B&B is branch-and-bound
-        # with bb_workers > 1, its solutions stamped "parallel-bb".
+        # The oracle lives under tests/; parallel B&B was retired.
         assert BACKEND_NAMES == ("scipy", "branch-and-bound", "fallback")
         with pytest.raises(SolverError, match="unknown backend"):
             solve(knapsack_model(), retired)

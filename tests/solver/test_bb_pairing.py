@@ -5,16 +5,14 @@ of every branching on a helper thread while the main thread solves the
 first.  These tests pin what that must never change:
 
 * a search that stops while a sibling solve is still running — by
-  ``"gap"``, the node budget, the deadline or the parallel split's
-  ``"frontier"`` — joins the helper before it returns, so the process
-  keeps its thread count;
+  ``"gap"``, the node budget or the deadline — joins the helper before
+  it returns, so the process keeps its thread count;
 * an error raised in a sibling solve surfaces only if the search uses
   that sibling;
-* the root LP is solved once, and parallel subtree workers pair too.
+* the root LP is solved once.
 
 Bit-identity of the answers themselves is pinned by
-``test_bb_node_pins.py``, ``test_lp_differential.py`` and the 1/2/4-worker
-suite in ``test_parallel_bb.py``.
+``test_bb_node_pins.py`` and ``test_lp_differential.py``.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ from repro import obs
 from repro.errors import LimitReachedError, SolverError
 from repro.solver import MilpModel, ObjectiveSense, SolutionStatus
 from repro.solver import branch_and_bound
-from repro.solver.branch_and_bound import _explore, _root, solve_branch_and_bound
+from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.lp import LpRelaxation
-from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from tests.conftest import random_binary_model
 
 #: Its root branches into two children; 27 nodes in all.
@@ -118,26 +115,6 @@ class TestStopsJoinTheHelper:
         assert stop.value.nodes_explored == 3
         assert _bb_span_args(cap)["lp_unused"] == 1
 
-    def test_frontier_stop(self, slow_helper):
-        model = random_binary_model(MODEL_SEED)
-        form = model.compile()
-        before = threading.active_count()
-        unused = []
-        for target in range(2, 9):
-            search = _root(model, form, warm_start=None, known_bound=None, lp_cache=None)
-            stopped = _explore(
-                search,
-                gap=branch_and_bound.DEFAULT_GAP,
-                node_budget=1_000,
-                deadline=None,
-                lp_cache=None,
-                frontier_target=target,
-            )
-            assert stopped == "frontier"
-            assert threading.active_count() == before
-            unused.append(search.lp_unused)
-        assert any(unused)
-
 
 class TestSiblingErrors:
     def test_unused_sibling_error_does_not_surface(self, failing_helper):
@@ -177,16 +154,3 @@ def test_answers_hold_under_rapid_thread_switching():
         sys.setswitchinterval(interval)
     assert stressed == expected
 
-
-def test_subtree_workers_pair_too():
-    model = random_binary_model(MODEL_SEED)
-    with obs.capture() as cap:
-        solve_parallel_branch_and_bound(model, workers=1)
-    pairs = []
-    stack = list(cap.tracer.roots)
-    while stack:
-        span = stack.pop()
-        stack.extend(span.children)
-        if span.name == "solver.parallel_bb.subtree":
-            pairs.append(span.args["lp_pairs"])
-    assert pairs and sum(pairs) > 0

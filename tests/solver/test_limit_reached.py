@@ -16,7 +16,6 @@ from repro.errors import LimitReachedError
 from repro.metrics.cost import Budget
 from repro.optimize.problem import MaxUtilityProblem
 from repro.solver.branch_and_bound import solve_branch_and_bound
-from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from tests.conftest import wide_knapsack_model as knapsack
 
 
@@ -46,8 +45,3 @@ def test_node_limit_knapsack_raises_limit_reached_on_serial_bb():
         solve_branch_and_bound(knapsack(24), max_nodes=1)
     assert stop.value.nodes_explored == 2
 
-
-def test_node_limit_knapsack_raises_limit_reached_on_parallel_bb():
-    with pytest.raises(LimitReachedError) as stop:
-        solve_parallel_branch_and_bound(knapsack(24), workers=2, max_nodes=1)
-    assert stop.value.nodes_explored == 2

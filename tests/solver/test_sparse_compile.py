@@ -12,9 +12,7 @@ pins
   solution vector) whether it is handed the CSR or the dense matrices;
 * presolve lift-back exactness under the bitset dominance engine, plus
   agreement with the dense oracle engine on which columns they fix —
-  on the seeded programs and on the 100-monitor sweep models;
-* parallel branch & bound worker-count invariance (1/2/4) on a sparse
-  catalog model, bit-identical to the serial solver.
+  on the seeded programs and on the 100-monitor sweep models.
 
 The multizone catalog test is the reduction the sparse engine exists
 for: a zone-structured monitor catalog full of near-duplicate placements
@@ -46,9 +44,7 @@ from repro.solver import (
     presolve,
     solve,
 )
-from repro.solver.branch_and_bound import solve_branch_and_bound
 from repro.solver.lp import solve_lp
-from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from repro.solver.sparse import (
     csr_from_rows,
     dense_equivalent_nbytes,
@@ -209,40 +205,6 @@ def test_multizone_catalog_collapses_under_dominated_monitor_rule():
     warm = solve(milp, "scipy", presolve=True)
     assert warm.status is cold.status is SolutionStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-
-
-# -- parallel branch & bound on a sparse catalog model ---------------------
-
-
-def test_parallel_bb_worker_identity_on_a_sparse_catalog_model():
-    catalog = synthetic_model(
-        assets=20,
-        monitor_types=6,
-        monitors=40,
-        attacks=12,
-        seed=3,
-        topology="multizone",
-        zones=3,
-    )
-    problem = MaxUtilityProblem(
-        catalog, Budget.fraction_of_total(catalog, 0.3), UtilityWeights()
-    )
-    milp, _ = problem.build()
-    assert sp.isspmatrix_csr(milp.compile().A_ub)
-
-    serial = solve_branch_and_bound(milp)
-    answers = [
-        solve_parallel_branch_and_bound(milp, workers=workers)
-        for workers in (1, 2, 4)
-    ]
-    for parallel in answers:
-        assert parallel.status is serial.status
-        assert parallel.objective == serial.objective
-        assert parallel.values == serial.values
-    # Node accounting is worker-count invariant (the frontier split is
-    # deterministic and the merge commutative).
-    nodes = {answer.nodes_explored for answer in answers}
-    assert len(nodes) == 1
 
 
 # -- csr_from_rows canonical-form unit pins --------------------------------

@@ -10,17 +10,6 @@ from repro.core import load_model, save_model
 from tests.conftest import build_toy_builder
 
 
-#: Case-study deployment at a 30% budget fraction with ``--bb-workers 2``.
-PARALLEL_BB_CASESTUDY_DEPLOYMENT = [
-    "app_logger@app-1", "audit_daemon@web-1", "audit_daemon@web-2",
-    "auth_logger@app-1", "auth_logger@web-1", "auth_logger@web-2",
-    "db_audit@db-1", "fim@web-1", "fim@web-2", "firewall_logger@fw-edge",
-    "flow_collector@fw-edge", "flow_collector@sw-core", "ldap_logger@auth-1",
-    "syslog_agent@web-1", "syslog_agent@web-2", "waf@lb-1",
-    "web_logger@web-1", "web_logger@web-2",
-]
-
-
 @pytest.fixture()
 def toy_model_file(toy_model, tmp_path):
     path = tmp_path / "toy.json"
@@ -135,31 +124,11 @@ class TestOptimize:
             main(
                 [
                     "optimize", "--casestudy", "--budget-fraction", "0.3",
-                    "--backend", "parallel-bb", "--bb-workers", "2",
+                    "--backend", "parallel-bb",
                 ]
             )
         assert excinfo.value.code == 2
         assert "invalid choice: 'parallel-bb'" in capsys.readouterr().err
-
-    def test_bb_workers_run_parallel_branch_and_bound(self, tmp_path, capsys):
-        """Branch-and-bound above one worker answers as ``ilp/parallel-bb``.
-
-        The deployment and node count are pinned.
-        """
-        out, trace = tmp_path / "dep.json", tmp_path / "trace.json"
-        assert main(
-            [
-                "optimize", "--casestudy", "--budget-fraction", "0.3",
-                "--backend", "branch-and-bound", "--bb-workers", "2",
-                "--out", str(out), "--trace", str(trace),
-            ]
-        ) == 0
-        assert capsys.readouterr().out.startswith(
-            "ilp/parallel-bb: 18 monitors, utility=0.9015 (optimal"
-        )
-        assert json.loads(out.read_text()) == PARALLEL_BB_CASESTUDY_DEPLOYMENT
-        counters = json.loads(trace.read_text())["metrics"]["counters"]
-        assert counters["solver.nodes"] == 1.0
 
 
 class TestMinCost:
